@@ -1,11 +1,14 @@
 //! Streaming-pass throughput and the SVDD 3-pass-vs-naive ablation.
 //!
-//! - pass-1 Gram accumulation (Fig. 2), serial vs crossbeam-parallel;
+//! - pass-1 Gram accumulation (Fig. 2), serial vs parallel on scoped
+//!   std threads (`ats_common::par`);
 //! - full plain-SVD 2-pass build;
 //! - the paper's headline algorithmic win: the 3-pass SVDD (Fig. 5)
 //!   against the straightforward `3·k_max`-pass algorithm (Fig. 4);
 //! - thread scaling of the whole SVDD build (passes 2 and 3 dominate
-//!   once pass 1 is parallel) at 1/2/4/8 workers.
+//!   once pass 1 is parallel) at 1/2/4/8 workers. Workers are real
+//!   scoped threads, so past the host's core count the numbers measure
+//!   oversubscription, not scaling.
 
 // ats-lint: allow(lint-table) — criterion_group! generates undocumented glue fns; scoped to this bench target
 #![allow(missing_docs)]

@@ -13,6 +13,8 @@
 //! - [`bloom`] — the Bloom filter of §4.2 / §6.2 of the paper;
 //! - [`topk`] — a bounded "keep the γ largest" tracker, the priority queue
 //!   of the 3-pass SVDD algorithm (Fig. 5);
+//! - [`par`] — ordered fan-out of independent jobs over scoped threads,
+//!   the one threading primitive every parallel pass goes through;
 //! - [`stats`] — Welford online mean/variance and summary statistics used
 //!   by the error metrics (RMSPE normalizes by the dataset's standard
 //!   deviation, Def. 5.1);
@@ -24,6 +26,7 @@ pub mod bloom;
 pub mod codec;
 pub mod error;
 pub mod hash;
+pub mod par;
 pub mod stats;
 pub mod testutil;
 pub mod topk;

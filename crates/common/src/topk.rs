@@ -3,10 +3,24 @@
 //! The 3-pass SVDD algorithm (Fig. 5 of the paper) maintains, during its
 //! second pass, **one priority queue per candidate cutoff `k`**, each
 //! holding the `γ_k` cells with the largest reconstruction error seen so
-//! far. [`TopK`] is that queue: a min-heap of bounded capacity, so that the
-//! smallest retained item is evicted when a larger one arrives. All
-//! operations are `O(log γ)`; a full pass over `N·M` cells costs
-//! `O(N·M·log γ)` per queue.
+//! far. [`TopK`] is that queue.
+//!
+//! It is not a heap. Accepted items go into an unordered append buffer
+//! behind a *floor*: the standing of the lowest item kept at the last
+//! compaction. An offer at or below the floor is rejected with one
+//! comparison. When the buffer reaches `γ + γ/4 + 1` entries it is
+//! compacted back to the γ best with a linear-time selection
+//! (`select_nth_unstable_by`), which raises the floor. An offer therefore
+//! costs `O(1)` amortised plus `O(γ)` per compaction, and compactions only
+//! happen after `γ/4` more offers clear the floor, so a full pass over
+//! `N·M` cells costs `O(N·M)` plus selection work proportional to the
+//! accepted offers, all of it sequential over the buffer.
+//!
+//! Nothing observable depends on when compactions happen: the retained
+//! set, [`TopK::merge`], the order of [`TopK::into_sorted_vec`] and the
+//! bits of [`TopK::priority_sum`] are all functions of the offers alone.
+
+use std::cmp::Ordering;
 
 /// A bounded tracker that retains the `capacity` items with the largest
 /// `f64` priority.
@@ -21,7 +35,12 @@
 /// which preserves the historical "ties at the boundary are rejected"
 /// behavior. Items are any `T`; the priority is carried alongside. NaN
 /// priorities are rejected by [`TopK::offer`] (returns `false`) so the
-/// heap order is always total.
+/// `(priority, rank)` order is always total.
+///
+/// [`TopK::threshold`], [`TopK::would_accept`] and
+/// [`TopK::would_accept_ranked`] are exact but select over the buffer
+/// (`O(len)`), so hot loops should call [`TopK::offer_ranked`] directly:
+/// the floor check inside it is the cheap pre-check.
 ///
 /// # Examples
 ///
@@ -37,10 +56,17 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct TopK<T> {
-    /// Min-heap on `(priority, rank)`: `heap[0]` is the *lowest-standing*
-    /// retained item (smallest priority, largest rank among equals).
-    heap: Vec<(f64, u64, T)>,
+    /// Accepted `(priority, rank, item)` entries in arrival order (and
+    /// selection order after a compaction). The retained set is the
+    /// `capacity` best of them; there are fewer than `limit` at rest.
+    buf: Vec<(f64, u64, T)>,
     capacity: usize,
+    /// Buffer length that triggers a compaction: `γ + γ/4 + 1`.
+    limit: usize,
+    /// Standing of the lowest item kept at the last compaction. Every
+    /// offer at or below it is rejected; `None` before the first
+    /// compaction.
+    floor: Option<(f64, u64)>,
 }
 
 /// Whether standing `a = (priority, rank)` is strictly below standing `b`:
@@ -49,75 +75,125 @@ fn below(a: (f64, u64), b: (f64, u64)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
 }
 
+/// Best-first order on standings: descending priority, ascending rank
+/// among equal priorities.
+fn best_first(a: &(f64, u64), b: &(f64, u64)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then(a.1.cmp(&b.1))
+}
+
+fn standing<T>(e: &(f64, u64, T)) -> (f64, u64) {
+    (e.0, e.1)
+}
+
 impl<T> TopK<T> {
     /// Create a tracker keeping at most `capacity` items.
     /// A zero capacity is legal and retains nothing.
     pub fn new(capacity: usize) -> Self {
+        let limit = capacity.saturating_add(capacity / 4).saturating_add(1);
         TopK {
-            heap: Vec::with_capacity(capacity.min(1 << 20)),
+            buf: Vec::with_capacity(limit.min(1 << 20)),
             capacity,
+            limit,
+            floor: None,
         }
     }
 
     /// Offer an item with the given priority and no tie-break rank
     /// (equivalent to [`TopK::offer_ranked`] with rank `u64::MAX`, so
-    /// boundary ties are rejected as they always were). Returns `true`
-    /// if the item was retained (possibly evicting the current minimum).
+    /// boundary ties are rejected as they always were). Returns whether
+    /// the item passed the floor; see [`TopK::offer_ranked`].
     pub fn offer(&mut self, priority: f64, item: T) -> bool {
         self.offer_ranked(priority, u64::MAX, item)
     }
 
     /// Offer an item with a priority and a tie-break rank (smaller rank
-    /// beats equal priority). Returns `true` if it was retained.
+    /// beats equal priority).
+    ///
+    /// Returns `true` if the item passed the floor and was buffered. That
+    /// is not a promise it is retained: a buffered item may already rank
+    /// below the γ best and is dropped at the next compaction. `false`
+    /// means it can never be retained (zero capacity, NaN, or at or below
+    /// the floor).
     pub fn offer_ranked(&mut self, priority: f64, rank: u64, item: T) -> bool {
         if self.capacity == 0 || priority.is_nan() {
             return false;
         }
-        if self.heap.len() < self.capacity {
-            self.heap.push((priority, rank, item));
-            self.sift_up(self.heap.len() - 1);
-            return true;
+        if let Some(floor) = self.floor {
+            if !below(floor, (priority, rank)) {
+                return false;
+            }
         }
-        let root = (self.heap[0].0, self.heap[0].1);
-        if below(root, (priority, rank)) {
-            self.heap[0] = (priority, rank, item);
-            self.sift_down(0);
-            true
-        } else {
-            false
+        self.buf.push((priority, rank, item));
+        if self.buf.len() >= self.limit {
+            self.compact();
+        }
+        true
+    }
+
+    /// Cut the buffer back to the `capacity` best entries and raise the
+    /// floor to the lowest of them. `O(len)`.
+    fn compact(&mut self) {
+        if self.buf.len() <= self.capacity {
+            return;
+        }
+        let Some(last) = self.capacity.checked_sub(1) else {
+            self.buf.clear();
+            return;
+        };
+        self.buf
+            .select_nth_unstable_by(last, |a, b| best_first(&standing(a), &standing(b)));
+        self.buf.truncate(self.capacity);
+        self.floor = self.buf.get(last).map(standing);
+    }
+
+    /// Standing of the lowest retained item, or `None` if empty. Exact;
+    /// `O(len)`.
+    fn lowest_retained(&self) -> Option<(f64, u64)> {
+        match self.capacity.checked_sub(1) {
+            Some(last) if self.buf.len() > self.capacity => {
+                let mut keys: Vec<(f64, u64)> = self.buf.iter().map(standing).collect();
+                let (_, kth, _) = keys.select_nth_unstable_by(last, best_first);
+                Some(*kth)
+            }
+            _ => self.buf.iter().map(standing).max_by(best_first),
         }
     }
 
     /// The smallest priority currently retained, or `None` if empty.
+    /// `O(len)`: not for hot loops.
     pub fn threshold(&self) -> Option<f64> {
-        self.heap.first().map(|&(p, _, _)| p)
+        self.lowest_retained().map(|(p, _)| p)
     }
 
-    /// Whether an unranked offer with this priority would be retained.
+    /// Whether an unranked offer with this priority would be retained if
+    /// the scan ended now. `O(len)`: not for hot loops.
     pub fn would_accept(&self, priority: f64) -> bool {
         self.would_accept_ranked(priority, u64::MAX)
     }
 
-    /// Whether an offer with this priority and rank would be retained.
+    /// Whether an offer with this priority and rank would be retained if
+    /// the scan ended now. `O(len)`: not for hot loops.
     pub fn would_accept_ranked(&self, priority: f64, rank: u64) -> bool {
         if self.capacity == 0 || priority.is_nan() {
             return false;
         }
-        if self.heap.len() < self.capacity {
+        if self.buf.len() < self.capacity {
             return true;
         }
-        let root = (self.heap[0].0, self.heap[0].1);
-        below(root, (priority, rank))
+        self.lowest_retained()
+            .is_some_and(|low| below(low, (priority, rank)))
     }
 
     /// Number of retained items.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.buf.len().min(self.capacity)
     }
 
     /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.buf.is_empty()
     }
 
     /// Capacity bound.
@@ -125,38 +201,41 @@ impl<T> TopK<T> {
         self.capacity
     }
 
-    /// Iterate retained `(priority, item)` pairs in heap (arbitrary) order.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, &T)> {
-        self.heap.iter().map(|(p, _, item)| (*p, item))
-    }
-
     /// Consume, returning items sorted by *descending* priority
     /// (ascending rank among ties, so the order — like the retained set —
     /// is a function of what was offered, not of arrival order).
-    pub fn into_sorted_vec(mut self) -> Vec<(f64, T)> {
-        self.heap.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        self.heap
+    pub fn into_sorted_vec(self) -> Vec<(f64, T)> {
+        self.into_sorted_ranked_vec()
             .into_iter()
             .map(|(p, _, item)| (p, item))
             .collect()
     }
 
+    /// [`TopK::into_sorted_vec`] keeping each item's rank: `(priority,
+    /// rank, item)` in descending priority, ascending rank among ties.
+    pub fn into_sorted_ranked_vec(mut self) -> Vec<(f64, u64, T)> {
+        self.compact();
+        self.buf
+            .sort_unstable_by(|a, b| best_first(&standing(a), &standing(b)));
+        self.buf
+    }
+
     /// Sum of all retained priorities (used to compute how much error mass
     /// the retained outliers account for). Summed in descending
     /// `(priority, rank)` order, so the result is bit-deterministic for a
-    /// given retained set no matter how the heap happens to be laid out —
-    /// a sharded merge and a single scan agree exactly.
+    /// given retained set no matter how the buffer happens to be laid out
+    /// — a sharded merge and a single scan agree exactly.
     pub fn priority_sum(&self) -> f64 {
-        let mut keys: Vec<(f64, u64)> = self.heap.iter().map(|&(p, r, _)| (p, r)).collect();
-        keys.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
+        let mut keys: Vec<(f64, u64)> = self.buf.iter().map(standing).collect();
+        if let Some(last) = self
+            .capacity
+            .checked_sub(1)
+            .filter(|_| keys.len() > self.capacity)
+        {
+            keys.select_nth_unstable_by(last, best_first);
+            keys.truncate(self.capacity);
+        }
+        keys.sort_unstable_by(best_first);
         keys.iter().map(|&(p, _)| p).sum()
     }
 
@@ -170,43 +249,10 @@ impl<T> TopK<T> {
     /// globally unique ranks the guarantee is exact even under priority
     /// ties (the `(priority, rank)` order is total); rankless entries
     /// fall back to arbitrary tie-breaks, as with `offer`.
-    pub fn merge(&mut self, other: TopK<T>) {
-        for (p, rank, item) in other.heap {
+    pub fn merge(&mut self, mut other: TopK<T>) {
+        other.compact();
+        for (p, rank, item) in other.buf {
             self.offer_ranked(p, rank, item);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            let child_key = (self.heap[i].0, self.heap[i].1);
-            let parent_key = (self.heap[parent].0, self.heap[parent].1);
-            if below(child_key, parent_key) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut lowest = i;
-            let key = |h: &[(f64, u64, T)], idx: usize| (h[idx].0, h[idx].1);
-            if l < n && below(key(&self.heap, l), key(&self.heap, lowest)) {
-                lowest = l;
-            }
-            if r < n && below(key(&self.heap, r), key(&self.heap, lowest)) {
-                lowest = r;
-            }
-            if lowest == i {
-                break;
-            }
-            self.heap.swap(i, lowest);
-            i = lowest;
         }
     }
 }
@@ -411,6 +457,22 @@ mod tests {
     }
 
     #[test]
+    fn merge_from_smaller_capacity_takes_only_its_retained_items() {
+        // Ten offers to a capacity-8 queue stay buffered (no compaction
+        // until 11), but only its 8 best are retained and merged.
+        let mut small = TopK::new(8);
+        for i in 0..10u64 {
+            small.offer_ranked(f64::from(i as u32), i, i);
+        }
+        assert_eq!(small.len(), 8);
+        let mut big = TopK::new(20);
+        big.merge(small);
+        assert_eq!(big.len(), 8);
+        let kept: Vec<u64> = big.into_sorted_vec().into_iter().map(|(_, v)| v).collect();
+        assert_eq!(kept, (2..10).rev().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn merge_into_zero_capacity_retains_nothing() {
         let mut z: TopK<i32> = TopK::new(0);
         let mut other = TopK::new(3);
@@ -436,6 +498,145 @@ mod tests {
             let a: Vec<(f64, usize)> = fwd.into_sorted_vec();
             let b: Vec<(f64, usize)> = rev.into_sorted_vec();
             proptest::prop_assert_eq!(a, b);
+        }
+    }
+
+    /// One reference-model step: an offer or an interleaved query.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Ranked(f64),
+        Rankless(f64),
+        Threshold,
+        WouldAccept(f64),
+    }
+
+    /// Tie-heavy priorities: six values, plus NaN now and then.
+    fn step(kind: u8, p: u8) -> Step {
+        let priority = if p == 6 { f64::NAN } else { f64::from(p) - 2.0 };
+        match kind {
+            0..=5 => Step::Ranked(priority),
+            6 => Step::Rankless(priority),
+            7 => Step::Threshold,
+            _ => Step::WouldAccept(priority),
+        }
+    }
+
+    /// Distinct ranks in scrambled order (multiplication by an odd
+    /// constant is a bijection on `u64`).
+    fn scrambled(i: usize) -> u64 {
+        (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+
+    /// The model: sort every (non-NaN) offer best-first, keep `cap`.
+    fn reference(offers: &[(f64, u64, usize)], cap: usize) -> Vec<(f64, u64, usize)> {
+        let mut all = offers.to_vec();
+        all.sort_by(|a, b| best_first(&standing(a), &standing(b)));
+        all.truncate(cap);
+        all
+    }
+
+    /// Compare a queue's output with the model's retained list: the
+    /// standings in order, every ranked item, and the bits of the sum.
+    fn check_against(t: TopK<usize>, want: &[(f64, u64, usize)]) {
+        let want_sum: f64 = want.iter().map(|&(p, _, _)| p).sum();
+        assert_eq!(t.len(), want.len());
+        assert_eq!(t.priority_sum().to_bits(), want_sum.to_bits());
+        let plain = t.clone().into_sorted_vec();
+        let got = t.into_sorted_ranked_vec();
+        assert_eq!(got.len(), want.len());
+        for (((gp, gr, gi), (wp, wr, wi)), (pp, pi)) in got.iter().zip(want).zip(&plain) {
+            assert_eq!((gp.to_bits(), gr), (wp.to_bits(), wr));
+            assert_eq!((pp.to_bits(), pi), (gp.to_bits(), gi));
+            // Rankless ties are interchangeable; ranked items are not.
+            if *gr != u64::MAX {
+                assert_eq!(gi, wi);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn matches_sort_and_truncate_reference(
+            raw in proptest::collection::vec((0u8..9, 0u8..7), 0..400),
+            cap_kind in 0u8..3,
+            small in 0usize..4,
+            mid in 4usize..48,
+            cuts in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..6),
+        ) {
+            // Capacities 0-3, mid-sized ones that compact over and over,
+            // and ones larger than the number of offers.
+            let cap = match cap_kind {
+                0 => small,
+                1 => mid,
+                _ => raw.len() + mid,
+            };
+            let steps: Vec<Step> = raw.iter().map(|&(k, p)| step(k, p)).collect();
+            let mut t: TopK<usize> = TopK::new(cap);
+            let mut offered: Vec<(f64, u64, usize)> = Vec::new();
+            for (i, &s) in steps.iter().enumerate() {
+                let kept = reference(&offered, cap);
+                match s {
+                    Step::Ranked(p) | Step::Rankless(p) => {
+                        let rank = match s {
+                            Step::Ranked(_) => scrambled(i),
+                            _ => u64::MAX,
+                        };
+                        let passed = t.offer_ranked(p, rank, i);
+                        if !p.is_nan() {
+                            offered.push((p, rank, i));
+                        }
+                        // A rejected offer is never retained by the model.
+                        if !passed {
+                            let now = reference(&offered, cap);
+                            proptest::prop_assert!(!now.iter().any(|&(_, _, item)| item == i));
+                        }
+                    }
+                    Step::Threshold => {
+                        let want = kept.last().map(|&(p, _, _)| p.to_bits());
+                        proptest::prop_assert_eq!(t.threshold().map(f64::to_bits), want);
+                        proptest::prop_assert_eq!(t.len(), kept.len());
+                        proptest::prop_assert_eq!(t.is_empty(), kept.is_empty());
+                    }
+                    Step::WouldAccept(p) => {
+                        let rank = scrambled(i);
+                        let want = cap > 0
+                            && !p.is_nan()
+                            && (kept.len() < cap
+                                || kept.last().is_some_and(|&(lp, lr, _)| below((lp, lr), (p, rank))));
+                        proptest::prop_assert_eq!(t.would_accept_ranked(p, rank), want);
+                    }
+                }
+            }
+            let want = reference(&offered, cap);
+            check_against(t, &want);
+
+            // The same offers split at arbitrary points into per-shard
+            // queues and merged must retain exactly the same.
+            let offers: Vec<(usize, Step)> = steps
+                .iter()
+                .copied()
+                .enumerate()
+                .filter(|(_, s)| matches!(s, Step::Ranked(_) | Step::Rankless(_)))
+                .collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (offers.len() + 1)).collect();
+            bounds.push(0);
+            bounds.push(offers.len());
+            bounds.sort_unstable();
+            let mut merged: TopK<usize> = TopK::new(cap);
+            for w in bounds.windows(2) {
+                let mut shard: TopK<usize> = TopK::new(cap);
+                for &(i, s) in &offers[w[0]..w[1]] {
+                    match s {
+                        Step::Ranked(p) => shard.offer_ranked(p, scrambled(i), i),
+                        Step::Rankless(p) => shard.offer(p, i),
+                        _ => false,
+                    };
+                }
+                merged.merge(shard);
+            }
+            check_against(merged, &want);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! Only the upper triangle is accumulated (C is symmetric), halving the
 //! inner-loop work relative to the paper's pseudocode.
 
-use ats_common::{AtsError, Result};
+use ats_common::{par, AtsError, Result};
 use ats_linalg::{vecops, Matrix};
 use ats_storage::RowSource;
 
@@ -65,36 +65,21 @@ pub fn compute_gram_parallel<S: RowSource + ?Sized>(source: &S, threads: usize) 
         return compute_gram_dyn(source);
     }
     let chunk = n.div_ceil(threads);
-    let partials: Vec<Result<Matrix>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(n);
-            if start >= end {
-                continue;
-            }
-            handles.push(scope.spawn(move |_| -> Result<Matrix> {
-                let mut c = Matrix::zeros(m, m);
-                source.scan_range(start, end, &mut |_, row| {
-                    accumulate_row(&mut c, row);
-                    Ok(())
-                })?;
-                Ok(c)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AtsError::internal("gram worker thread panicked")),
-            })
-            .collect()
-    })
-    .map_err(|_| AtsError::internal("gram thread scope panicked"))?;
+    let ranges: Vec<(usize, usize)> = (0..n)
+        .step_by(chunk)
+        .map(|start| (start, (start + chunk).min(n)))
+        .collect();
+    let partials = par::ordered(ranges, threads, |(start, end)| {
+        let mut c = Matrix::zeros(m, m);
+        source.scan_range(start, end, &mut |_, row| {
+            accumulate_row(&mut c, row);
+            Ok(())
+        })?;
+        Ok(c)
+    })?;
 
     let mut total = Matrix::zeros(m, m);
     for p in partials {
-        let p = p?;
         for (acc, v) in total.as_mut_slice().iter_mut().zip(p.as_slice()) {
             *acc += v;
         }
@@ -199,34 +184,13 @@ pub fn compute_gram_sharded<S: RowSource + ?Sized>(
         }
     };
 
+    // Wave parallelism: compute up to `threads` block partials
+    // concurrently, then fold the wave in block order before moving on —
+    // the fold sequence is exactly the serial one.
     let mut total = Matrix::zeros(m, m);
-    if threads <= 1 || blocks.len() < 2 {
-        for b in &blocks {
-            let p = block_partial(b)?;
+    for wave in blocks.chunks(threads.max(1)) {
+        for p in par::ordered(wave.iter().collect(), threads, block_partial)? {
             fold(&mut total, &p);
-        }
-    } else {
-        // Wave parallelism: compute up to `threads` block partials
-        // concurrently, then fold the wave in block order before moving
-        // on — the fold sequence is exactly the serial one.
-        for wave in blocks.chunks(threads) {
-            let partials: Vec<Result<Matrix>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|b| scope.spawn(move |_| block_partial(b)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("gram block worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("gram thread scope panicked"))?;
-            for p in partials {
-                fold(&mut total, &p?);
-            }
         }
     }
     symmetrize(&mut total);

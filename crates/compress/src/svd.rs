@@ -12,7 +12,7 @@
 
 use crate::gram::{compute_gram_parallel, compute_gram_sharded};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
-use ats_common::{AtsError, Result};
+use ats_common::{par, AtsError, Result};
 use ats_linalg::kernels::{self, VPanel};
 use ats_linalg::vecops;
 use ats_linalg::{lanczos_top_k, sym_eigen, LanczosOptions, Matrix};
@@ -277,29 +277,17 @@ pub(crate) fn emit_u<S: RowSource + ?Sized>(
         });
     }
     let chunk = n.div_ceil(threads);
-    let results: Vec<Result<()>> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (start, band) in u.row_chunks_mut(chunk) {
-            let end = start + band.len() / k;
-            handles.push(scope.spawn(move |_| -> Result<()> {
-                let mut off = 0;
-                source.scan_range(start, end, &mut |_, row| {
-                    project_row(row, v, lambda, &mut band[off..off + k]);
-                    off += k;
-                    Ok(())
-                })
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(AtsError::internal("svd projection worker panicked")),
-            })
-            .collect()
-    })
-    .map_err(|_| AtsError::internal("svd projection thread scope panicked"))?;
-    results.into_iter().collect()
+    let bands: Vec<(usize, &mut [f64])> = u.row_chunks_mut(chunk).collect();
+    par::ordered(bands, threads, |(start, band)| {
+        let end = start + band.len() / k;
+        let mut off = 0;
+        source.scan_range(start, end, &mut |_, row| {
+            project_row(row, v, lambda, &mut band[off..off + k]);
+            off += k;
+            Ok(())
+        })
+    })?;
+    Ok(())
 }
 
 /// `out[j] = Σ_m λ_m u_m v[j][m]` — Eq. 12 for a whole row, walking `V`

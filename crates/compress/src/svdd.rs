@@ -40,7 +40,7 @@ use crate::delta::{DeltaStore, DELTA_BYTES};
 use crate::gram::{compute_gram_parallel, compute_gram_sharded, GRAM_BLOCK_ROWS};
 use crate::method::{svd_bytes, CompressedMatrix, SpaceBudget};
 use crate::svd::{emit_u, SvdCompressed};
-use ats_common::{AtsError, Result, TopK};
+use ats_common::{par, AtsError, Result, TopK};
 use ats_linalg::{sym_eigen, vecops, Matrix};
 use ats_storage::RowSource;
 
@@ -62,10 +62,12 @@ pub struct SvddOptions {
     /// are dropped first). Bounds pass-2 memory on huge datasets.
     ///
     /// With `threads > 1` each worker holds a private copy of the queues
-    /// (a merge needs full-capacity shards to stay exact), so the peak
-    /// entry count is `threads ×` this cap. Thinning itself depends only
-    /// on the γ sizes, never on `threads`, so the candidate set — and
-    /// hence `k_opt` — is the same at any thread count.
+    /// (a merge needs full-capacity shards to stay exact), and each
+    /// [`TopK`] buffers up to `γ + γ/4 + 1` entries of 24 bytes between
+    /// compactions, so peak queue memory is about
+    /// `threads × 1.25 × max_queue_entries × 24 B`. Thinning itself
+    /// depends only on the γ sizes, never on `threads`, so the candidate
+    /// set — and hence `k_opt` — is the same at any thread count.
     pub max_queue_entries: usize,
 }
 
@@ -103,8 +105,9 @@ pub struct SvddCompressed {
     candidates: Vec<KCandidate>,
 }
 
-/// Queue item: (row, col, delta).
-type Outlier = (u32, u32, f64);
+/// Queue item: the cell's delta. Its `(row, col)` is recovered from the
+/// rank every offer carries, the cell ordinal `row · m + col`.
+type Outlier = f64;
 
 /// One worker's pass-2 output: a bounded queue per candidate `k` plus
 /// per-candidate SSE partials, kept **per [`GRAM_BLOCK_ROWS`]-row block**
@@ -164,14 +167,15 @@ fn pass2_range<S: RowSource + ?Sized>(
         if all_zero {
             return Ok(());
         }
-        let block = (i - start) / GRAM_BLOCK_ROWS;
+        let block_sse = &mut sse_blocks[(i - start) / GRAM_BLOCK_ROWS];
         let ord_base = (i as u64) * (row.len() as u64);
         for (j, &x) in row.iter().enumerate() {
             let v_row = v_full.row(j);
             let mut acc = 0.0f64;
             let mut k_prev = 0usize;
             let ord = ord_base + j as u64;
-            for (ci, &(k, _)) in candidate_ks.iter().enumerate() {
+            let per_candidate = candidate_ks.iter().zip(queues.iter_mut());
+            for ((&(k, _), queue), sse) in per_candidate.zip(block_sse.iter_mut()) {
                 // `acc` carries across candidate spans, so this MUST stay
                 // an incremental scalar chain — a per-span dot would
                 // reassociate the sum and break the bitwise equivalence
@@ -182,9 +186,10 @@ fn pass2_range<S: RowSource + ?Sized>(
                 k_prev = k;
                 let err = x - acc;
                 let sq = err * err;
-                sse_blocks[block][ci] += sq;
-                if sq > 0.0 && queues[ci].would_accept_ranked(sq, ord) {
-                    queues[ci].offer_ranked(sq, ord, (i as u32, j as u32, err));
+                *sse += sq;
+                // The queue's own floor check is the cheap pre-filter.
+                if sq > 0.0 {
+                    queue.offer_ranked(sq, ord, err);
                 }
             }
         }
@@ -193,15 +198,63 @@ fn pass2_range<S: RowSource + ?Sized>(
     Ok((queues, sse_blocks))
 }
 
-/// Fold one worker's per-block SSE partials into the global accumulator.
-/// Callers fold workers in ascending row order, so the overall summation
-/// order is "block 0, block 1, …" no matter how the scan was partitioned.
-fn fold_sse(sse: &mut [f64], blocks: Vec<Vec<f64>>) {
+/// Fold one worker's pass-2 output into the global accumulators: merge
+/// its queues (the first worker's are moved in, not re-offered) and fold
+/// its per-block SSE partials. Callers fold workers in ascending row
+/// order, so the overall summation order is "block 0, block 1, …" no
+/// matter how the scan was partitioned.
+fn absorb(queues: &mut Vec<TopK<Outlier>>, sse: &mut [f64], shard: Pass2Shard) {
+    let (qs, blocks) = shard;
+    if queues.is_empty() {
+        *queues = qs;
+    } else {
+        for (acc, q) in queues.iter_mut().zip(qs) {
+            acc.merge(q);
+        }
+    }
     for block in blocks {
         for (a, s) in sse.iter_mut().zip(block) {
             *a += s;
         }
     }
+}
+
+/// Pass 2 over block-aligned row ranges `jobs` (ascending), run `threads`
+/// jobs at a time through [`par::ordered`] and folded in job order. Each
+/// wave's queue sets are absorbed before the next wave starts, so at most
+/// `threads` private queue sets are alive at once.
+fn pass2<S: RowSource + ?Sized>(
+    source: &S,
+    v_full: &Matrix,
+    candidate_ks: &[(usize, usize)],
+    jobs: &[(usize, usize)],
+    threads: usize,
+) -> Result<(Vec<TopK<Outlier>>, Vec<f64>)> {
+    let mut queues = Vec::new();
+    let mut sse = vec![0.0f64; candidate_ks.len()];
+    for wave in jobs.chunks(threads.max(1)) {
+        let shards = par::ordered(wave.to_vec(), threads, |(start, end)| {
+            pass2_range(source, v_full, candidate_ks, start, end)
+        })?;
+        for shard in shards {
+            absorb(&mut queues, &mut sse, shard);
+        }
+    }
+    Ok((queues, sse))
+}
+
+/// Freeze a pass-2 queue into the delta store, recovering each cell's
+/// `(row, col)` from its ordinal rank `row · m + col`.
+fn deltas_from(queue: TopK<Outlier>, m: usize, with_bloom: bool) -> Result<DeltaStore> {
+    let m = m as u64;
+    DeltaStore::build(
+        m as usize,
+        queue
+            .into_sorted_ranked_vec()
+            .into_iter()
+            .map(|(_, ord, d)| ((ord / m) as usize, (ord % m) as usize, d)),
+        with_bloom,
+    )
 }
 
 /// Pass-1 epilogue shared by the monolithic and sharded builds: truncate
@@ -318,50 +371,16 @@ impl SvddCompressed {
         // Worker boundaries are rounded up to block multiples so the
         // blocked SSE fold (and hence k_opt) is thread-count invariant.
         let threads = opts.threads.max(1);
-        let (queues, sse) = if threads <= 1 || n < 2 * threads {
-            let (qs, blocks) = pass2_range(source, &v_full, &candidate_ks, 0, n)?;
-            let mut sse = vec![0.0f64; candidate_ks.len()];
-            fold_sse(&mut sse, blocks);
-            (qs, sse)
+        let chunk = if threads <= 1 || n < 2 * threads {
+            n
         } else {
-            let chunk = n.div_ceil(threads).next_multiple_of(GRAM_BLOCK_ROWS);
-            let shards: Vec<Result<Pass2Shard>> = crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let start = t * chunk;
-                    let end = ((t + 1) * chunk).min(n);
-                    if start >= end {
-                        continue;
-                    }
-                    let v_full = &v_full;
-                    let candidate_ks = &candidate_ks;
-                    handles.push(
-                        scope.spawn(move |_| pass2_range(source, v_full, candidate_ks, start, end)),
-                    );
-                }
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("svdd pass-2 worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("svdd pass-2 thread scope panicked"))?;
-            let mut queues: Vec<TopK<Outlier>> = candidate_ks
-                .iter()
-                .map(|&(_, gamma)| TopK::new(gamma))
-                .collect();
-            let mut sse = vec![0.0f64; candidate_ks.len()];
-            for shard in shards {
-                let (qs, blocks) = shard?;
-                for (acc, q) in queues.iter_mut().zip(qs) {
-                    acc.merge(q);
-                }
-                fold_sse(&mut sse, blocks);
-            }
-            (queues, sse)
+            n.div_ceil(threads).next_multiple_of(GRAM_BLOCK_ROWS)
         };
+        let jobs: Vec<(usize, usize)> = (0..n)
+            .step_by(chunk)
+            .map(|start| (start, (start + chunk).min(n)))
+            .collect();
+        let (queues, sse) = pass2(source, &v_full, &candidate_ks, &jobs, threads)?;
 
         Self::finish(
             source,
@@ -384,7 +403,7 @@ impl SvddCompressed {
     ///   ([`compute_gram_sharded`]), so `V/Λ` are **bit-identical** for
     ///   any block-aligned partition — `shards(1)` and `shards(4)` see
     ///   the same factors.
-    /// - **Pass 2** keeps per-shard `TopK` heaps and per-block SSE
+    /// - **Pass 2** keeps per-shard [`TopK`] queues and per-block SSE
     ///   partials, merged globally in shard order with [`TopK::merge`]:
     ///   per-cell errors depend only on the row and the (identical)
     ///   factors, cells are ranked by their global ordinal so boundary
@@ -409,7 +428,7 @@ impl SvddCompressed {
         let (lambda_all, v_full) = factorize(&c, m, k_max)?;
         let candidate_ks = size_candidates(n, m, opts, k_max)?;
 
-        // ---- Pass 2: one heap set per shard, merged in shard order ----
+        // ---- Pass 2: one queue set per shard, merged in shard order ----
         // Shards short on parallelism are subdivided so ~`threads` jobs
         // run at once; jobs execute in waves and always merge in
         // ascending row order. Sub-job boundaries are rounded up to block
@@ -430,50 +449,7 @@ impl SvddCompressed {
                 s = e;
             }
         }
-        let mut queues: Vec<TopK<Outlier>> = candidate_ks
-            .iter()
-            .map(|&(_, gamma)| TopK::new(gamma))
-            .collect();
-        let mut sse = vec![0.0f64; candidate_ks.len()];
-        let run_jobs = |wave: &[(usize, usize)]| -> Vec<Result<Pass2Shard>> {
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&(start, end)| {
-                        let v_full = &v_full;
-                        let candidate_ks = &candidate_ks;
-                        scope.spawn(move |_| pass2_range(source, v_full, candidate_ks, start, end))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("svdd pass-2 worker panicked")),
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|_| vec![Err(AtsError::internal("svdd pass-2 thread scope panicked"))])
-        };
-        if threads <= 1 {
-            for &(start, end) in &jobs {
-                let (qs, blocks) = pass2_range(source, &v_full, &candidate_ks, start, end)?;
-                for (acc, q) in queues.iter_mut().zip(qs) {
-                    acc.merge(q);
-                }
-                fold_sse(&mut sse, blocks);
-            }
-        } else {
-            for wave in jobs.chunks(threads) {
-                for shard in run_jobs(wave) {
-                    let (qs, blocks) = shard?;
-                    for (acc, q) in queues.iter_mut().zip(qs) {
-                        acc.merge(q);
-                    }
-                    fold_sse(&mut sse, blocks);
-                }
-            }
-        }
+        let (queues, sse) = pass2(source, &v_full, &candidate_ks, &jobs, threads)?;
 
         Self::finish(
             source,
@@ -532,14 +508,7 @@ impl SvddCompressed {
         let mut u = Matrix::zeros(n, k_opt);
         emit_u(source, &v, &lambda, &mut u, threads)?;
 
-        let deltas = DeltaStore::build(
-            m,
-            winner
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(_, (r, c, d))| (r as usize, c as usize, d)),
-            opts.with_bloom,
-        )?;
+        let deltas = deltas_from(winner, m, opts.with_bloom)?;
 
         Ok(SvddCompressed {
             svd: SvdCompressed::from_parts(u, lambda, v),
@@ -572,14 +541,16 @@ impl SvddCompressed {
             let mut recon = vec![0.0; m];
             source.for_each_row(&mut |i, row| {
                 svd.row_into(i, &mut recon)?;
+                let ord_base = (i as u64) * (m as u64);
                 for (j, (&x, &r)) in row.iter().zip(recon.iter()).enumerate() {
                     let err = x - r;
                     let sq = err * err;
                     sse_raw += sq;
-                    // Same zero-error guard as the 3-pass kernel, so both
-                    // algorithms keep comparable delta sets.
-                    if sq > 0.0 && queue.would_accept(sq) {
-                        queue.offer(sq, (i as u32, j as u32, err));
+                    // Same zero-error guard and ordinal tie-break as the
+                    // 3-pass kernel, so both algorithms keep comparable
+                    // delta sets.
+                    if sq > 0.0 {
+                        queue.offer_ranked(sq, ord_base + j as u64, err);
                     }
                 }
                 Ok(())
@@ -598,14 +569,7 @@ impl SvddCompressed {
         }
         let (_, svd, queue, _) =
             best.ok_or_else(|| AtsError::Budget("no feasible cutoff k".into()))?;
-        let deltas = DeltaStore::build(
-            m,
-            queue
-                .into_sorted_vec()
-                .into_iter()
-                .map(|(_, (r, c, d))| (r as usize, c as usize, d)),
-            opts.with_bloom,
-        )?;
+        let deltas = deltas_from(queue, m, opts.with_bloom)?;
         Ok(SvddCompressed {
             svd,
             deltas,

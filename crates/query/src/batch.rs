@@ -13,7 +13,7 @@
 //! per-cell loop, whatever the request order, duplication, or thread count.
 
 use crate::engine::QueryEngine;
-use ats_common::{AtsError, Result};
+use ats_common::{par, AtsError, Result};
 use ats_compress::CompressedMatrix;
 
 /// An ordered list of cell queries. Duplicates and any ordering are fine;
@@ -130,35 +130,19 @@ impl QueryEngine<'_> {
             }
         } else {
             let chunk = groups.len().div_ceil(self.threads);
-            let parts: Vec<Result<Vec<(usize, f64)>>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .chunks(chunk)
-                    .map(|gs| {
-                        let (order, cells) = (&order, cells);
-                        scope.spawn(move |_| -> Result<Vec<(usize, f64)>> {
-                            let mut out = Vec::new();
-                            let mut scatter = Vec::new();
-                            for g in gs {
-                                run_group(self.matrix(), cells, order, g, &mut scatter)?;
-                                out.extend_from_slice(&scatter);
-                            }
-                            Ok(out)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(r) => r,
-                        Err(_) => Err(AtsError::internal("batch cell worker panicked")),
-                    })
-                    .collect()
-            })
-            .map_err(|_| AtsError::internal("batch cell thread scope panicked"))?;
+            let parts = par::ordered(groups.chunks(chunk).collect(), self.threads, |gs| {
+                let mut out = Vec::new();
+                let mut scatter = Vec::new();
+                for g in gs {
+                    run_group(self.matrix(), cells, &order, g, &mut scatter)?;
+                    out.extend_from_slice(&scatter);
+                }
+                Ok(out)
+            })?;
             // Chunk-order merge; each (position, value) pair is disjoint,
             // so the scatter is deterministic regardless of thread count.
             for part in parts {
-                for (t, v) in part? {
+                for (t, v) in part {
                     values[t] = v;
                 }
             }

@@ -13,7 +13,7 @@
 
 use crate::predicate::{Predicate, TileTruth};
 use crate::selection::Selection;
-use ats_common::{AtsError, OnlineStats, Result};
+use ats_common::{par, AtsError, OnlineStats, Result};
 use ats_compress::CompressedMatrix;
 use ats_linalg::Matrix;
 use ats_storage::ShardSynopsis;
@@ -274,25 +274,14 @@ impl<'a> QueryEngine<'a> {
             return self.stats_over_rows(rows, cols, dense_cols);
         }
         let chunk = rows.len().div_ceil(self.threads);
-        let shards: Vec<Result<OnlineStats>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|rows| scope.spawn(move |_| self.stats_over_rows(rows, cols, dense_cols)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(AtsError::internal("selection stats worker panicked")),
-                })
-                .collect()
-        })
-        .map_err(|_| AtsError::internal("selection stats thread scope panicked"))?;
+        let shards = par::ordered(rows.chunks(chunk).collect(), self.threads, |rows| {
+            self.stats_over_rows(rows, cols, dense_cols)
+        })?;
         // Merge in chunk order (Chan et al. combine): deterministic for a
         // given thread count.
         let mut stats = OnlineStats::new();
-        for shard in shards {
-            stats.merge(&shard?);
+        for shard in &shards {
+            stats.merge(shard);
         }
         Ok(stats)
     }
@@ -355,8 +344,8 @@ impl<'a> QueryEngine<'a> {
 
     /// Shard fan-out kernel: group the selected rows by owning shard,
     /// fold each group into a private accumulator (up to `self.threads`
-    /// groups scanned concurrently, in waves), and merge the per-shard
-    /// partials in ascending shard order.
+    /// groups scanned concurrently through [`par::ordered`]), and merge
+    /// the per-shard partials in ascending shard order.
     fn sharded_stats(
         &self,
         rows: &[usize],
@@ -374,35 +363,9 @@ impl<'a> QueryEngine<'a> {
             };
             groups[idx].push(i);
         }
-        let mut partials: Vec<OnlineStats> = Vec::with_capacity(groups.len());
-        if self.threads <= 1 {
-            for g in &groups {
-                partials.push(self.stats_over_rows(g, cols, dense_cols)?);
-            }
-        } else {
-            for wave in groups.chunks(self.threads) {
-                let wave_stats: Vec<Result<OnlineStats>> = crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|g| {
-                            let cols = &cols;
-                            scope.spawn(move |_| self.stats_over_rows(g, cols, dense_cols))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => Err(AtsError::internal("shard stats worker panicked")),
-                        })
-                        .collect()
-                })
-                .map_err(|_| AtsError::internal("shard stats thread scope panicked"))?;
-                for s in wave_stats {
-                    partials.push(s?);
-                }
-            }
-        }
+        let partials = par::ordered(groups.iter().collect(), self.threads, |g| {
+            self.stats_over_rows(g, cols, dense_cols)
+        })?;
         let mut stats = OnlineStats::new();
         for p in &partials {
             stats.merge(p);
@@ -580,33 +543,20 @@ impl<'a> QueryEngine<'a> {
             return self.where_over_rows(rows, cols, pred, count_only, syn);
         }
         let chunk = rows.len().div_ceil(self.threads);
-        let parts: Vec<Result<WhereStats>> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = rows
-                .chunks(chunk)
-                .map(|rows| {
-                    scope.spawn(move |_| self.where_over_rows(rows, cols, pred, count_only, syn))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(_) => Err(AtsError::internal("where scan worker panicked")),
-                })
-                .collect()
-        })
-        .map_err(|_| AtsError::internal("where scan thread scope panicked"))?;
+        let parts = par::ordered(rows.chunks(chunk).collect(), self.threads, |rows| {
+            self.where_over_rows(rows, cols, pred, count_only, syn)
+        })?;
         let mut ws = WhereStats::new();
-        for p in parts {
-            ws.merge(&p?);
+        for p in &parts {
+            ws.merge(p);
         }
         Ok(ws)
     }
 
     /// Shard fan-out for `where` scans: group the selected rows by
     /// owning shard, scan each group against that shard's synopsis (up
-    /// to `self.threads` shards concurrently, in waves), and merge the
-    /// per-shard partials in ascending shard order.
+    /// to `self.threads` shards concurrently through [`par::ordered`]),
+    /// and merge the per-shard partials in ascending shard order.
     fn sharded_where(
         &self,
         rows: &[usize],
@@ -623,40 +573,14 @@ impl<'a> QueryEngine<'a> {
             };
             groups[idx].push(i);
         }
-        let mut partials: Vec<WhereStats> = Vec::with_capacity(groups.len());
-        if self.threads <= 1 {
-            for (s, g) in groups.iter().enumerate() {
+        let partials = par::ordered(
+            groups.iter().enumerate().collect(),
+            self.threads,
+            |(s, g)| {
                 let syn = self.pruning_synopsis(s, starts.get(s).copied().unwrap_or(0));
-                partials.push(self.where_over_rows(g, cols, pred, count_only, syn)?);
-            }
-        } else {
-            let indexed: Vec<(usize, &Vec<usize>)> = groups.iter().enumerate().collect();
-            for wave in indexed.chunks(self.threads) {
-                let wave_stats: Vec<Result<WhereStats>> = crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|&(s, g)| {
-                            let cols = &cols;
-                            let syn = self.pruning_synopsis(s, starts.get(s).copied().unwrap_or(0));
-                            scope.spawn(move |_| {
-                                self.where_over_rows(g, cols, pred, count_only, syn)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| match h.join() {
-                            Ok(r) => r,
-                            Err(_) => Err(AtsError::internal("where shard worker panicked")),
-                        })
-                        .collect()
-                })
-                .map_err(|_| AtsError::internal("where shard thread scope panicked"))?;
-                for s in wave_stats {
-                    partials.push(s?);
-                }
-            }
-        }
+                self.where_over_rows(g, cols, pred, count_only, syn)
+            },
+        )?;
         let mut ws = WhereStats::new();
         for p in &partials {
             ws.merge(p);

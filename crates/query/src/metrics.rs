@@ -104,10 +104,7 @@ pub fn error_spectrum(
     source.for_each_row(&mut |i, row| {
         compressed.row_into(i, &mut recon)?;
         for (&x, &r) in row.iter().zip(recon.iter()) {
-            let e = (r - x).abs();
-            if top.would_accept(e) {
-                top.offer(e, ());
-            }
+            top.offer((r - x).abs(), ());
         }
         Ok(())
     })?;

@@ -672,17 +672,13 @@ mod tests {
         let path = dir.file("conc.atsm");
         let m = sample_matrix(100, 8);
         write_matrix(&path, &m).unwrap();
-        let f = Arc::new(MatrixFile::open(&path).unwrap());
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let f = Arc::clone(&f);
-                let m = &m;
-                s.spawn(move || {
-                    for i in (t..100).step_by(4) {
-                        assert_eq!(f.read_row(i).unwrap(), m.row(i));
-                    }
-                });
+        let f = MatrixFile::open(&path).unwrap();
+        ats_common::par::ordered((0..4).collect(), 4, |t: usize| {
+            for i in (t..100).step_by(4) {
+                assert_eq!(f.read_row(i).unwrap(), m.row(i));
             }
-        });
+            Ok(())
+        })
+        .unwrap();
     }
 }

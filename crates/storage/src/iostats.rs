@@ -171,16 +171,13 @@ mod tests {
     #[test]
     fn concurrent_updates() {
         let s = IoStats::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let s = Arc::clone(&s);
-                scope.spawn(move || {
-                    for _ in 0..1000 {
-                        s.record_physical(1);
-                    }
-                });
+        ats_common::par::ordered(vec![(); 8], 8, |()| {
+            for _ in 0..1000 {
+                s.record_physical(1);
             }
-        });
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(s.physical_reads(), 8000);
         assert_eq!(s.bytes_read(), 8000);
     }

@@ -6,8 +6,8 @@
 //! [`BufferPool`] is that cache — a fixed-capacity LRU over fixed-size
 //! pages with hit/miss accounting — and [`CachedFile`] serves row reads
 //! of a [`MatrixFile`] through it. The pool uses an index-linked LRU list
-//! (no per-access allocation) guarded by a single `parking_lot` mutex;
-//! page loads happen under the lock, which is the right trade-off for the
+//! (no per-access allocation) guarded by a single `std::sync::Mutex`
+//! (a poisoned lock is recovered, not propagated); page loads happen under the lock, which is the right trade-off for the
 //! pool sizes exercised here and keeps the eviction logic obviously
 //! correct.
 
@@ -15,9 +15,9 @@ use crate::file::MatrixFile;
 use crate::iostats::IoStats;
 use ats_common::codec::{u64_from_usize, usize_from_u64};
 use ats_common::{AtsError, Result};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 const NIL: usize = usize::MAX;
 
@@ -114,7 +114,11 @@ impl BufferPool {
 
     /// Current number of resident pages.
     pub fn resident(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .map
+            .len()
     }
 
     /// Fetch page `page_no`, loading it via `load` on a miss, and hand a
@@ -126,7 +130,7 @@ impl BufferPool {
         load: impl FnOnce(&mut [u8]) -> Result<()>,
         consume: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(&idx) = inner.map.get(&page_no) {
             self.stats.record_hit();
             inner.detach(idx);
@@ -517,18 +521,14 @@ mod tests {
     #[test]
     fn concurrent_cached_reads() {
         let (mat, file, _dir) = setup(64, 5, "conc.atsm");
-        let cf = Arc::new(CachedFile::row_aligned(file, 16));
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let cf = Arc::clone(&cf);
-                let mat = &mat;
-                s.spawn(move || {
-                    for i in (t..64).step_by(4) {
-                        assert_eq!(cf.read_row(i).unwrap(), mat.row(i));
-                    }
-                });
+        let cf = CachedFile::row_aligned(file, 16);
+        ats_common::par::ordered((0..4).collect(), 4, |t: usize| {
+            for i in (t..64).step_by(4) {
+                assert_eq!(cf.read_row(i).unwrap(), mat.row(i));
             }
-        });
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(
             cf.stats().logical_reads(),
             64,

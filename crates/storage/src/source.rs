@@ -298,27 +298,16 @@ mod tests {
     fn disjoint_parallel_scans() {
         // RowSource: Sync — two threads scanning halves of one source.
         let m = sample(100, 3);
-        let total: f64 = std::thread::scope(|s| {
-            let h1 = s.spawn(|| {
-                let mut acc = 0.0;
-                m.scan_range(0, 50, &mut |_, row| {
-                    acc += row[0];
-                    Ok(())
-                })
-                .unwrap();
-                acc
-            });
-            let h2 = s.spawn(|| {
-                let mut acc = 0.0;
-                m.scan_range(50, 100, &mut |_, row| {
-                    acc += row[0];
-                    Ok(())
-                })
-                .unwrap();
-                acc
-            });
-            h1.join().unwrap() + h2.join().unwrap()
-        });
+        let halves = ats_common::par::ordered(vec![(0, 50), (50, 100)], 2, |(lo, hi)| {
+            let mut acc = 0.0;
+            m.scan_range(lo, hi, &mut |_, row| {
+                acc += row[0];
+                Ok(())
+            })?;
+            Ok(acc)
+        })
+        .unwrap();
+        let total: f64 = halves.iter().sum();
         let expect: f64 = (0..100).map(|i| (i * 10) as f64).sum();
         assert!((total - expect).abs() < 1e-9);
     }
