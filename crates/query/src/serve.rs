@@ -8,7 +8,10 @@
 //! extends *across clients*: concurrently arriving cell queries are
 //! collected into a small admission window and executed as one
 //! [`QueryEngine::batch_cells`] run, making N clients asking about the
-//! same row cost one `U`-row fetch per shard instead of N.
+//! same row cost one `U`-row fetch per shard instead of N. A window
+//! closes as soon as every open connection has a request in it (no one
+//! else can join, so waiting longer cannot coalesce more), when it holds
+//! `batch_max` requests, or at its deadline, whichever comes first.
 //!
 //! Aggregate queries ride the same admission window: requests collected
 //! in one window are grouped by identical `(aggregate, selection)` and
@@ -64,8 +67,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads for aggregate scans and batch execution.
     pub threads: usize,
-    /// Admission window: once a cell query arrives, the batcher keeps
-    /// collecting more for at most this long before executing.
+    /// Admission window: once a query arrives, the batcher keeps
+    /// collecting more for at most this long before executing. The
+    /// window closes early once every open connection has at least one
+    /// request queued — no other client can join it then — so this is an
+    /// upper bound that only a connection sitting idle makes the batch
+    /// wait out.
     pub window: Duration,
     /// Execute the pending batch as soon as it holds this many cells,
     /// even if the window has not expired.
@@ -121,6 +128,16 @@ pub struct MetricsSnapshot {
     pub coalesced_aggs: u64,
     /// Summed request latency in microseconds (admission wait included).
     pub latency_usec: u64,
+    /// Connections open right now (accepted, not yet finished).
+    pub live_connections: u64,
+    /// Admission windows closed early because every live connection had
+    /// a request queued.
+    pub windows_quorum: u64,
+    /// Admission windows closed because they reached `batch_max`.
+    pub windows_full: u64,
+    /// Admission windows held to their deadline. (Windows flushed by
+    /// shutdown count in none of the three.)
+    pub windows_deadline: u64,
 }
 
 /// Live atomic counters behind the snapshot.
@@ -137,12 +154,19 @@ struct ServerMetrics {
     agg_scans: AtomicU64,
     coalesced_aggs: AtomicU64,
     latency_usec: AtomicU64,
+    /// Only ever decremented under the queue lock (see
+    /// [`Shared::connection_finished`]), which the batcher holds while it
+    /// reads the count.
+    live_connections: AtomicU64,
+    windows_quorum: AtomicU64,
+    windows_full: AtomicU64,
+    windows_deadline: AtomicU64,
 }
 
 impl ServerMetrics {
     fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
+            connections: self.connections.load(Ordering::SeqCst),
             queries: self.queries.load(Ordering::Relaxed),
             cells: self.cells.load(Ordering::Relaxed),
             aggregates: self.aggregates.load(Ordering::Relaxed),
@@ -153,6 +177,10 @@ impl ServerMetrics {
             agg_scans: self.agg_scans.load(Ordering::Relaxed),
             coalesced_aggs: self.coalesced_aggs.load(Ordering::Relaxed),
             latency_usec: self.latency_usec.load(Ordering::Relaxed),
+            live_connections: self.live_connections.load(Ordering::SeqCst),
+            windows_quorum: self.windows_quorum.load(Ordering::Relaxed),
+            windows_full: self.windows_full.load(Ordering::Relaxed),
+            windows_deadline: self.windows_deadline.load(Ordering::Relaxed),
         }
     }
 }
@@ -161,6 +189,8 @@ impl ServerMetrics {
 /// or a rendered error message — the requesting connection thread blocks
 /// on the channel until the batcher answers.
 struct Pending {
+    /// Id of the requesting connection (for the quorum check).
+    conn: u64,
     row: usize,
     col: usize,
     tx: mpsc::Sender<std::result::Result<f64, String>>,
@@ -170,6 +200,8 @@ struct Pending {
 /// `(f, sel, pred)` triples collected in the same window share one scan
 /// (`pred` is `None` for plain aggregates, `Some` for `where` forms).
 struct PendingAgg {
+    /// Id of the requesting connection (for the quorum check).
+    conn: u64,
     f: AggregateFn,
     sel: Selection,
     pred: Option<Predicate>,
@@ -190,6 +222,24 @@ struct BatchQueue {
 impl BatchQueue {
     fn len(&self) -> usize {
         self.items.len().saturating_add(self.aggs.len())
+    }
+
+    /// Whether at least `live` distinct connections have a request
+    /// queued — with every open connection already in the window, no one
+    /// else can join it. `seen` is the caller's scratch list, reused so
+    /// the check does not allocate each time the batcher wakes.
+    fn all_live_queued(&self, live: u64, seen: &mut Vec<u64>) -> bool {
+        seen.clear();
+        let ids = self.items.iter().map(|p| p.conn);
+        for id in ids.chain(self.aggs.iter().map(|p| p.conn)) {
+            if !seen.contains(&id) {
+                seen.push(id);
+                if u64::try_from(seen.len()).unwrap_or(u64::MAX) >= live {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -221,6 +271,18 @@ impl Shared {
 
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+    }
+
+    /// Stop counting a finished connection as live and wake the batcher,
+    /// so a window held open only by this connection closes at once. The
+    /// decrement happens under the queue lock: a batcher between its
+    /// quorum check and its wait cannot miss the wake-up.
+    fn connection_finished(&self) {
+        {
+            let _q = lock(&self.queue);
+            self.metrics.live_connections.fetch_sub(1, Ordering::SeqCst);
+        }
         self.queue_cv.notify_all();
     }
 }
@@ -360,9 +422,18 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
                 // The listener is non-blocking; the per-connection
                 // stream must not inherit that (reads use timeouts).
                 let _ = stream.set_nonblocking(false);
-                shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
+                // Live before counted: once `connections` shows a client,
+                // the batcher's quorum already waits for it.
+                shared
+                    .metrics
+                    .live_connections
+                    .fetch_add(1, Ordering::SeqCst);
+                let id = shared.metrics.connections.fetch_add(1, Ordering::SeqCst);
                 let conn_shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || handle_connection(&conn_shared, stream));
+                let handle = std::thread::spawn(move || {
+                    handle_connection(&conn_shared, stream, id);
+                    conn_shared.connection_finished();
+                });
                 lock(&shared.conns).push(handle);
             }
             Err(e)
@@ -378,12 +449,15 @@ fn run_acceptor(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// The admission/coalescing executor: wait for the first pending cell,
-/// keep collecting until the window expires or `batch_max` is reached,
-/// then run the whole window as one [`QueryEngine::batch_cells`] call
-/// and scatter the replies. On shutdown the remaining queue is drained
-/// through the same path before the thread exits.
+/// The admission/coalescing executor: wait for the first pending
+/// request, keep collecting until every live connection has a request
+/// queued, `batch_max` is reached, or the window expires, then run the
+/// whole window as one [`QueryEngine::batch_cells`] call plus one scan
+/// per distinct aggregate and scatter the replies. On shutdown the
+/// remaining queue is drained through the same path before the thread
+/// exits.
 fn run_batcher(shared: &Shared) {
+    let mut seen = Vec::new();
     loop {
         let (pending, aggs) = {
             let mut q = lock(&shared.queue);
@@ -400,19 +474,33 @@ fn run_batcher(shared: &Shared) {
                 return;
             }
             // Phase 2: the admission window — collect more requests
-            // until the deadline, the size cap, or shutdown (which
+            // until the size cap, the quorum (every live connection has
+            // a request queued), the deadline, or shutdown (which
             // executes immediately so the drain finishes promptly).
             let deadline = Instant::now() + shared.window;
-            while q.len() < shared.batch_max && !shared.is_shutdown() {
+            let closed_by = loop {
+                if shared.is_shutdown() {
+                    break None;
+                }
+                if q.len() >= shared.batch_max {
+                    break Some(&shared.metrics.windows_full);
+                }
+                let live = shared.metrics.live_connections.load(Ordering::SeqCst);
+                if q.all_live_queued(live, &mut seen) {
+                    break Some(&shared.metrics.windows_quorum);
+                }
                 let now = Instant::now();
                 if now >= deadline {
-                    break;
+                    break Some(&shared.metrics.windows_deadline);
                 }
                 let (guard, _timed_out) = shared
                     .queue_cv
                     .wait_timeout(q, deadline - now)
                     .unwrap_or_else(|p| p.into_inner());
                 q = guard;
+            };
+            if let Some(counter) = closed_by {
+                counter.fetch_add(1, Ordering::Relaxed);
             }
             (std::mem::take(&mut q.items), std::mem::take(&mut q.aggs))
         };
@@ -599,11 +687,14 @@ fn write_frame(stream: &mut TcpStream, payload: &str) -> std::io::Result<()> {
     stream.flush()
 }
 
-/// Per-connection counters, reported by this connection's `STATS`.
+/// Per-connection id and counters (the counters are reported by this
+/// connection's `STATS`).
 /// Atomics: the reader thread counts verbs/aggregates/errors, the writer
 /// thread counts cell replies as it resolves them.
 #[derive(Default)]
 struct ConnMetrics {
+    /// The acceptor's id for this connection; tags its queued requests.
+    id: u64,
     queries: AtomicU64,
     errors: AtomicU64,
     latency_usec: AtomicU64,
@@ -638,7 +729,7 @@ enum WriterItem {
 /// (so even `ERR busy` lines would pile up), the reader stops pulling
 /// frames once the reply queue is twice `pending_max` deep and lets TCP
 /// backpressure stall the flood.
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream, id: u64) {
     // Short read timeouts make the loop poll the shutdown flag; they are
     // retried inside `read_full`, invisible to the protocol.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
@@ -646,7 +737,10 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let conn = Arc::new(ConnMetrics::default());
+    let conn = Arc::new(ConnMetrics {
+        id,
+        ..ConnMetrics::default()
+    });
     // Unresolved cells this connection has in the batcher (ERR-busy cap).
     let cells_in_flight = Arc::new(AtomicU64::new(0));
     // Reply-queue depth (hard backpressure cap).
@@ -869,7 +963,12 @@ fn cell_via_batcher(
         if q.closed {
             false
         } else {
-            q.items.push(Pending { row, col, tx });
+            q.items.push(Pending {
+                conn: conn.id,
+                row,
+                col,
+                tx,
+            });
             true
         }
     };
@@ -918,7 +1017,13 @@ fn agg_via_batcher(
         if q.closed {
             false
         } else {
-            q.aggs.push(PendingAgg { f, sel, pred, tx });
+            q.aggs.push(PendingAgg {
+                conn: conn.id,
+                f,
+                sel,
+                pred,
+                tx,
+            });
             true
         }
     };
@@ -942,7 +1047,8 @@ fn render_stats(shared: &Shared, conn: &ConnMetrics) -> String {
     let mut out = String::from("stats\n");
     out.push_str(&format!(
         "server connections={} queries={} cells={} aggregates={} errors={} busy={} \
-         batches={} coalesced_cells={} agg_scans={} coalesced_aggs={} latency_usec={}\n",
+         batches={} coalesced_cells={} agg_scans={} coalesced_aggs={} latency_usec={} \
+         live_connections={} windows_quorum={} windows_full={} windows_deadline={}\n",
         m.connections,
         m.queries,
         m.cells,
@@ -953,7 +1059,11 @@ fn render_stats(shared: &Shared, conn: &ConnMetrics) -> String {
         m.coalesced_cells,
         m.agg_scans,
         m.coalesced_aggs,
-        m.latency_usec
+        m.latency_usec,
+        m.live_connections,
+        m.windows_quorum,
+        m.windows_full,
+        m.windows_deadline
     ));
     out.push_str(&format!(
         "conn queries={} errors={} latency_usec={}\n",
@@ -1042,6 +1152,29 @@ mod tests {
         TcpStream::connect(handle.addr()).unwrap()
     }
 
+    /// Block until the acceptor has counted `k` connections. A window
+    /// closes once every *counted* connection has a request queued, so a
+    /// test that wants all its clients in one window waits for this
+    /// before any client sends.
+    fn wait_for_connections(handle: &ServerHandle, k: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.metrics().connections < k {
+            assert!(Instant::now() < deadline, "only {:?}", handle.metrics());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Whether `c` has no reply waiting (a short read times out).
+    fn no_reply_yet(c: &mut TcpStream) -> bool {
+        c.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let waiting = matches!(
+            c.peek(&mut [0u8; 1]),
+            Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
+        );
+        c.set_read_timeout(None).unwrap();
+        waiting
+    }
+
     #[test]
     fn ping_query_stats_shutdown_round_trip() {
         let (handle, engine) = start(1, 8);
@@ -1096,13 +1229,16 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_window() {
-        // A huge window with a huge cap: the batch would sit for 30s —
-        // shutdown must flush it instead, and the client still gets the
-        // right answer.
+        // A huge window with a huge cap, held open by a second, idle
+        // connection: the batch would sit for 30s — shutdown must flush
+        // it instead, and the client still gets the right answer.
         let (handle, engine) = start(30_000, 1024);
         let mut c = connect(&handle);
+        let _idle = connect(&handle);
+        wait_for_connections(&handle, 2);
         client::send(&mut c, "cell 2 7").unwrap();
         std::thread::sleep(Duration::from_millis(150));
+        assert!(no_reply_yet(&mut c), "the window must still be open");
         handle.begin_shutdown();
         let r = client::recv(&mut c).unwrap();
         assert_eq!(r, format!("OK {}", engine.cell(2, 7).unwrap()));
@@ -1118,6 +1254,7 @@ mod tests {
         // scans and fan the shared answer out.
         let (handle, engine) = start(30_000, 4);
         let mut clients: Vec<TcpStream> = (0..4).map(|_| connect(&handle)).collect();
+        wait_for_connections(&handle, 4);
         let queries = [
             "sum rows all cols 2..6",
             "sum rows all cols 2..6",
@@ -1159,6 +1296,7 @@ mod tests {
         // form of the same selection — each get their own.
         let (handle, engine) = start(30_000, 4);
         let mut clients: Vec<TcpStream> = (0..4).map(|_| connect(&handle)).collect();
+        wait_for_connections(&handle, 4);
         let queries = [
             "count rows all where value > 3",
             "count rows all where value > 3",
@@ -1206,6 +1344,7 @@ mod tests {
         let (handle, _engine) = start(30_000, 2);
         let mut a = connect(&handle);
         let mut b = connect(&handle);
+        wait_for_connections(&handle, 2);
         client::send(&mut a, "avg rows all cols 4..4").unwrap();
         client::send(&mut b, "avg rows all cols all").unwrap();
         let ra = client::recv(&mut a).unwrap();
@@ -1223,6 +1362,7 @@ mod tests {
     fn batch_max_fires_without_waiting_for_window() {
         let (handle, engine) = start(30_000, 3);
         let mut clients: Vec<TcpStream> = (0..3).map(|_| connect(&handle)).collect();
+        wait_for_connections(&handle, 3);
         for (t, c) in clients.iter_mut().enumerate() {
             client::send(c, &format!("cell 5 {t}")).unwrap();
         }
@@ -1234,5 +1374,89 @@ mod tests {
         let m = handle.join().unwrap();
         assert_eq!(m.batches, 1, "three cells must share one batch");
         assert_eq!(m.coalesced_cells, 3);
+    }
+
+    /// Send `cell 5 t` on each of `clients`, then read every reply.
+    fn ask_cells(clients: &mut [TcpStream], engine: &QueryEngine<'static>) {
+        for (t, c) in clients.iter_mut().enumerate() {
+            client::send(c, &format!("cell 5 {t}")).unwrap();
+        }
+        for (t, c) in clients.iter_mut().enumerate() {
+            let r = client::recv(c).unwrap();
+            assert_eq!(r, format!("OK {}", engine.cell(5, t).unwrap()));
+        }
+    }
+
+    #[test]
+    fn window_closes_once_every_live_connection_has_queued() {
+        // Neither the 30 s window nor the 1024 cap can fire; the second
+        // connection's cell completes the quorum and closes the window.
+        let (handle, engine) = start(30_000, 1024);
+        let mut clients: Vec<TcpStream> = (0..2).map(|_| connect(&handle)).collect();
+        wait_for_connections(&handle, 2);
+        let t0 = Instant::now();
+        ask_cells(&mut clients, &engine);
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        let m = handle.metrics();
+        assert_eq!(m.live_connections, 2, "{m:?}");
+        assert_eq!(m.batches, 1, "{m:?}");
+        assert_eq!(m.coalesced_cells, 2, "{m:?}");
+        assert_eq!(m.windows_quorum, 1, "{m:?}");
+        assert_eq!((m.windows_full, m.windows_deadline), (0, 0), "{m:?}");
+        handle.begin_shutdown();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn idle_connection_holds_window_to_deadline() {
+        let (handle, engine) = start(200, 1024);
+        let mut clients: Vec<TcpStream> = (0..2).map(|_| connect(&handle)).collect();
+        let _idle = connect(&handle);
+        wait_for_connections(&handle, 3);
+        let t0 = Instant::now();
+        ask_cells(&mut clients, &engine);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(200),
+            "{:?}",
+            t0.elapsed()
+        );
+        let m = handle.metrics();
+        assert_eq!(m.live_connections, 3, "{m:?}");
+        assert_eq!(m.batches, 1, "{m:?}");
+        assert_eq!(m.coalesced_cells, 2, "{m:?}");
+        assert_eq!(m.windows_deadline, 1, "{m:?}");
+        assert_eq!((m.windows_quorum, m.windows_full), (0, 0), "{m:?}");
+        handle.begin_shutdown();
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn dropping_idle_connection_releases_held_window() {
+        let (handle, engine) = start(30_000, 1024);
+        let mut clients: Vec<TcpStream> = (0..2).map(|_| connect(&handle)).collect();
+        let idle = connect(&handle);
+        wait_for_connections(&handle, 3);
+        let t0 = Instant::now();
+        for (t, c) in clients.iter_mut().enumerate() {
+            client::send(c, &format!("cell 5 {t}")).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        for c in &mut clients {
+            assert!(no_reply_yet(c), "the idle connection holds the window");
+        }
+        drop(idle);
+        for (t, c) in clients.iter_mut().enumerate() {
+            let r = client::recv(c).unwrap();
+            assert_eq!(r, format!("OK {}", engine.cell(5, t).unwrap()));
+        }
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+        let m = handle.metrics();
+        assert_eq!(m.live_connections, 2, "{m:?}");
+        assert_eq!(m.batches, 1, "{m:?}");
+        assert_eq!(m.coalesced_cells, 2, "{m:?}");
+        assert_eq!(m.windows_quorum, 1, "{m:?}");
+        assert_eq!((m.windows_full, m.windows_deadline), (0, 0), "{m:?}");
+        handle.begin_shutdown();
+        handle.join().unwrap();
     }
 }

@@ -124,8 +124,11 @@ USAGE:
                                  frames carrying query lines (plus PING,
                                  STATS, SHUTDOWN verbs); concurrently
                                  arriving cell queries coalesce into one
-                                 batched run per admission window (W ms
-                                 or B cells). Each connection may keep P
+                                 batched run per admission window, which
+                                 closes as soon as every open connection
+                                 has a query in it, at B queries, or
+                                 after W ms (default 2), whichever comes
+                                 first. Each connection may keep P
                                  cell queries waiting in the batcher
                                  (default 64); past that depth it gets
                                  `ERR busy` replies. --addr defaults to

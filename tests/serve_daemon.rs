@@ -16,7 +16,7 @@ use adhoc_ts::query::serve::{client, serve, ServeConfig, ServerHandle};
 use ats_common::TestDir;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn phone(rows: usize, cols: usize, seed: u64) -> Matrix {
     generate_phone(&PhoneConfig {
@@ -64,6 +64,18 @@ fn baseline(store: &Arc<ShardedStore>) -> QueryEngine<'static> {
 
 fn connect(handle: &ServerHandle) -> TcpStream {
     TcpStream::connect(handle.addr()).unwrap()
+}
+
+/// Block until the acceptor has counted `k` connections. A window closes
+/// once every *counted* connection has a request queued, so a test that
+/// wants all its clients in one window waits for this before any client
+/// sends.
+fn wait_for_connections(handle: &ServerHandle, k: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.metrics().connections < k {
+        assert!(Instant::now() < deadline, "only {:?}", handle.metrics());
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Parse an `OK <f64>` response back to bits. f64's `Display` is the
@@ -154,11 +166,13 @@ fn coalesced_same_row_queries_do_one_u_fetch_per_shard() {
     // K clients ask for K different columns of the SAME row (row 50 →
     // shard 1 of rows 0..40 | 40..80 | 80..120).
     let row = 50usize;
-    let workers: Vec<_> = (0..K)
-        .map(|col| {
-            let addr = handle.addr();
+    let streams: Vec<TcpStream> = (0..K).map(|_| connect(&handle)).collect();
+    wait_for_connections(&handle, K as u64);
+    let workers: Vec<_> = streams
+        .into_iter()
+        .enumerate()
+        .map(|(col, mut s)| {
             std::thread::spawn(move || {
-                let mut s = TcpStream::connect(addr).unwrap();
                 ok_value(&client::round_trip(&mut s, &format!("cell {row} {col}")).unwrap())
             })
         })
@@ -397,6 +411,7 @@ fn coalesced_range_aggregates_share_one_block_scan() {
     // (columns 10..14 of blocks [0..8, 8..16, 16..24, 24..32]).
     let q = "avg rows all in time [10..14]";
     let mut clients: Vec<TcpStream> = (0..5).map(|_| connect(&handle)).collect();
+    wait_for_connections(&handle, 5);
     for c in &mut clients {
         client::send(c, q).unwrap();
     }
