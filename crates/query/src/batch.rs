@@ -12,7 +12,7 @@
 //! scattered back in request order and are bitwise identical to the
 //! per-cell loop, whatever the request order, duplication, or thread count.
 
-use crate::engine::QueryEngine;
+use crate::engine::{thread_chunks, QueryEngine};
 use ats_common::{par, AtsError, Result};
 use ats_compress::CompressedMatrix;
 
@@ -83,11 +83,11 @@ impl QueryEngine<'_> {
     ///
     /// Every cell is validated up front, so an out-of-range request fails
     /// the whole batch before any reconstruction or I/O happens — no
-    /// partial work. With `threads > 1` the distinct-row groups are split
-    /// into contiguous chunks executed concurrently; each worker scatters
-    /// into a private list merged back in chunk order, and since every
-    /// output cell is computed independently, the values are identical to
-    /// the serial execution bit for bit.
+    /// partial work. The distinct-row groups are split into the scan
+    /// executor's thread chunks ([`crate::engine`]) and run concurrently;
+    /// each worker scatters into a private list merged back in chunk
+    /// order, and since every output cell is computed independently, the
+    /// values are identical to the serial execution bit for bit.
     pub fn batch_cells(&self, req: &BatchRequest) -> Result<BatchResult> {
         let (n, m) = (self.matrix().rows(), self.matrix().cols());
         for &(i, j) in req.cells() {
@@ -119,33 +119,22 @@ impl QueryEngine<'_> {
                 }),
             }
         }
-        let mut values = vec![0.0f64; req.len()];
-        if self.threads <= 1 || groups.len() < 2 * self.threads {
-            let mut scatter = Vec::new();
-            for g in &groups {
-                run_group(self.matrix(), cells, &order, g, &mut scatter)?;
-                for &(t, v) in &scatter {
-                    values[t] = v;
-                }
-            }
-        } else {
-            let chunk = groups.len().div_ceil(self.threads);
-            let parts = par::ordered(groups.chunks(chunk).collect(), self.threads, |gs| {
+        let parts = par::ordered(
+            thread_chunks(&groups, self.threads).collect(),
+            self.threads,
+            |gs| {
                 let mut out = Vec::new();
-                let mut scatter = Vec::new();
                 for g in gs {
-                    run_group(self.matrix(), cells, &order, g, &mut scatter)?;
-                    out.extend_from_slice(&scatter);
+                    run_group(self.matrix(), cells, &order, g, &mut out)?;
                 }
                 Ok(out)
-            })?;
-            // Chunk-order merge; each (position, value) pair is disjoint,
-            // so the scatter is deterministic regardless of thread count.
-            for part in parts {
-                for (t, v) in part {
-                    values[t] = v;
-                }
-            }
+            },
+        )?;
+        // Chunk-order merge; each (position, value) pair is disjoint, so
+        // the scatter is deterministic regardless of thread count.
+        let mut values = vec![0.0f64; req.len()];
+        for (t, v) in parts.into_iter().flatten() {
+            values[t] = v;
         }
         Ok(BatchResult {
             values,
@@ -155,8 +144,8 @@ impl QueryEngine<'_> {
 }
 
 /// Answer one distinct-row group with a single
-/// [`CompressedMatrix::cells_in_row`] call (one `U`-row fetch), leaving
-/// `(request position, value)` pairs in `scatter`.
+/// [`CompressedMatrix::cells_in_row`] call (one `U`-row fetch), appending
+/// its `(request position, value)` pairs to `scatter`.
 fn run_group(
     matrix: &dyn CompressedMatrix,
     cells: &[(usize, usize)],
@@ -164,7 +153,6 @@ fn run_group(
     g: &RowGroup,
     scatter: &mut Vec<(usize, f64)>,
 ) -> Result<()> {
-    scatter.clear();
     let span = order
         .get(g.span.clone())
         .ok_or_else(|| AtsError::internal("batch group span out of order bounds"))?;

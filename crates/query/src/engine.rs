@@ -10,6 +10,17 @@
 //!
 //! The engine reconstructs whole rows where it can (one `U`-row fetch
 //! amortized over all selected columns) rather than per-cell.
+//!
+//! Every aggregate — one function, all of them at once, or a `where`
+//! filter — runs the same scan in three parts. The **planner** is the
+//! only reader of the matrix's layout hooks: it groups the selected
+//! columns by time block and, inside each block, the selected rows by
+//! owning shard (or into thread chunks when the block is unsharded). The
+//! **executor** runs those units through [`par::ordered`] and merges the
+//! partials in shard or chunk order within a block, then block partials
+//! in ascending block order. One **leaf kernel** folds a unit, testing
+//! each value against the predicate when there is one; a plain aggregate
+//! is the `where` scan with no predicate.
 
 use crate::predicate::{Predicate, TileTruth};
 use crate::selection::Selection;
@@ -64,7 +75,9 @@ impl AggregateFn {
         // Every aggregate of zero cells is rejected, not defaulted: Min/Max
         // have no identity, and a silent 0.0 from Sum/Avg/StdDev is
         // indistinguishable from real data.
-        ensure_nonempty(stats)?;
+        if stats.count() == 0 {
+            return Err(empty_selection());
+        }
         Ok(match self {
             AggregateFn::Sum => stats.sum(),
             AggregateFn::Avg => stats.mean(),
@@ -76,16 +89,11 @@ impl AggregateFn {
     }
 }
 
-/// Reject aggregates over empty selections: `min()`/`max()` of nothing has
-/// no value, and returning a default `0.0` (the old behavior) silently
-/// fabricated data for every function.
-fn ensure_nonempty(stats: &OnlineStats) -> Result<()> {
-    if stats.count() == 0 {
-        return Err(AtsError::InvalidArgument(
-            "aggregate over an empty selection (0 cells) is undefined".into(),
-        ));
-    }
-    Ok(())
+/// The error every aggregate over an empty selection returns:
+/// `min()`/`max()` of nothing has no value, and returning a default `0.0`
+/// (the old behavior) silently fabricated data for every function.
+fn empty_selection() -> AtsError {
+    AtsError::InvalidArgument("aggregate over an empty selection (0 cells) is undefined".into())
 }
 
 /// How a [`QueryEngine`] holds its matrix: borrowed for the classic
@@ -200,23 +208,17 @@ impl<'a> QueryEngine<'a> {
     ///
     /// Reconstructs each selected row once and folds the selected columns
     /// into a single-pass accumulator (or one per worker — see
-    /// [`QueryEngine::with_threads`]).
+    /// [`QueryEngine::with_threads`]). This is the scan of
+    /// [`QueryEngine::aggregate_where`] with no predicate: the same plan,
+    /// the same merge tree.
     pub fn aggregate(&self, sel: &Selection, f: AggregateFn) -> Result<f64> {
-        let m = self.matrix().cols();
-        sel.validate(self.matrix().rows(), m)?;
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        // Heuristic: if most of the row is selected, reconstruct the whole
-        // row; otherwise reconstruct only the selected cells.
-        let dense_cols = cols.len() * 3 >= m;
-        let stats = self.selection_stats(sel, dense_cols)?;
-        f.finish(&stats)
+        f.finish(&self.scan(sel, None, false)?.stats)
     }
 
     /// Evaluate every aggregate function at once over one selection scan.
     /// Errors on an empty selection, like [`QueryEngine::aggregate`].
     pub fn aggregate_all(&self, sel: &Selection) -> Result<AggregateRow> {
-        let stats = self.selection_stats(sel, true)?;
-        ensure_nonempty(&stats)?;
+        let stats = self.scan(sel, None, false)?.stats;
         Ok(AggregateRow {
             sum: stats.sum(),
             avg: stats.mean(),
@@ -225,190 +227,6 @@ impl<'a> QueryEngine<'a> {
             max: stats.max(),
             stddev: stats.population_std_dev(),
         })
-    }
-
-    /// Fold the selected cells into one [`OnlineStats`], splitting the
-    /// selected rows across `self.threads` workers when worthwhile.
-    ///
-    /// Over a time-blocked matrix ([`CompressedMatrix::time_block_starts`]
-    /// returns more than one entry) the selected *columns* are first
-    /// grouped by owning block: each overlapping block folds its columns
-    /// into a private accumulator through that block's own decomposition
-    /// (taking the shard fan-out below inside the block), and the
-    /// per-block partials merge in ascending block order. Blocks whose
-    /// column range the selection never touches see no I/O at all — the
-    /// pruning the per-block `IoStats` assertions pin down.
-    ///
-    /// Over a sharded matrix ([`CompressedMatrix::shard_starts`] returns
-    /// more than one entry) the scan fans out by *owning shard* instead
-    /// of by arbitrary row chunk: each shard's selected rows fold into
-    /// that shard's private accumulator and the partials merge in shard
-    /// order — so the result is one deterministic value for a given
-    /// shard layout, independent of the thread count.
-    fn selection_stats(&self, sel: &Selection, dense_cols: bool) -> Result<OnlineStats> {
-        let (n, m) = (self.matrix().rows(), self.matrix().cols());
-        sel.validate(n, m)?;
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        let rows: Vec<usize> = sel.rows.iter(n).collect();
-        let tstarts = self.matrix().time_block_starts();
-        if tstarts.len() > 1 {
-            return self.timeblocked_stats(&rows, &cols, &tstarts);
-        }
-        self.stats_dispatch(&rows, &cols, dense_cols)
-    }
-
-    /// Shard/thread dispatch over one decomposition: the body of
-    /// [`QueryEngine::selection_stats`] once the time-block routing (if
-    /// any) has already rebased the columns.
-    fn stats_dispatch(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-    ) -> Result<OnlineStats> {
-        let starts = self.matrix().shard_starts();
-        if starts.len() > 1 {
-            return self.sharded_stats(rows, cols, dense_cols, &starts);
-        }
-        if self.threads <= 1 || rows.len() < 2 * self.threads {
-            return self.stats_over_rows(rows, cols, dense_cols);
-        }
-        let chunk = rows.len().div_ceil(self.threads);
-        let shards = par::ordered(rows.chunks(chunk).collect(), self.threads, |rows| {
-            self.stats_over_rows(rows, cols, dense_cols)
-        })?;
-        // Merge in chunk order (Chan et al. combine): deterministic for a
-        // given thread count.
-        let mut stats = OnlineStats::new();
-        for shard in &shards {
-            stats.merge(shard);
-        }
-        Ok(stats)
-    }
-
-    /// Time-block fan-out kernel: group the selected columns by owning
-    /// block, fold each overlapping block's columns (rebased to
-    /// block-local indices) through that block's own decomposition —
-    /// re-entering [`QueryEngine::stats_dispatch`], so the block's own
-    /// shard fan-out and threading apply inside it — and merge the
-    /// per-block partials in ascending block order. Blocks the
-    /// selection does not overlap are never touched: their `U`/delta
-    /// pages see zero I/O, which the per-block `IoStats` tests assert.
-    fn timeblocked_stats(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        tstarts: &[usize],
-    ) -> Result<OnlineStats> {
-        let m = self.matrix().cols();
-        // tstarts is ascending with tstarts[0] == 0: column j belongs
-        // to the last block whose start is ≤ j.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tstarts.len()];
-        for &j in cols {
-            let idx = match tstarts.binary_search(&j) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
-            };
-            let start = tstarts.get(idx).copied().unwrap_or(0);
-            if let Some(g) = groups.get_mut(idx) {
-                g.push(j - start);
-            }
-        }
-        let mut stats = OnlineStats::new();
-        for (b, local) in groups.iter().enumerate() {
-            if local.is_empty() {
-                continue;
-            }
-            let block = self.matrix().time_block(b).ok_or_else(|| {
-                AtsError::internal(format!("time block {b} advertised but not served"))
-            })?;
-            let width = tstarts
-                .get(b + 1)
-                .copied()
-                .unwrap_or(m)
-                .saturating_sub(tstarts.get(b).copied().unwrap_or(0));
-            // Re-evaluate the dense-row heuristic against the block's
-            // own width: a range covering most of one block should
-            // reconstruct whole block rows even when it is a sliver of
-            // the full matrix.
-            let dense = local.len() * 3 >= width;
-            let sub = QueryEngine {
-                handle: MatrixHandle::Borrowed(block),
-                threads: self.threads,
-                synopsis: self.synopsis,
-            };
-            stats.merge(&sub.stats_dispatch(rows, local, dense)?);
-        }
-        Ok(stats)
-    }
-
-    /// Shard fan-out kernel: group the selected rows by owning shard,
-    /// fold each group into a private accumulator (up to `self.threads`
-    /// groups scanned concurrently through [`par::ordered`]), and merge
-    /// the per-shard partials in ascending shard order.
-    fn sharded_stats(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-        starts: &[usize],
-    ) -> Result<OnlineStats> {
-        // starts is ascending with starts[0] == 0, so every row lands in
-        // the last shard whose start is ≤ the row.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
-        for &i in rows {
-            let idx = match starts.binary_search(&i) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
-            };
-            groups[idx].push(i);
-        }
-        let partials = par::ordered(groups.iter().collect(), self.threads, |g| {
-            self.stats_over_rows(g, cols, dense_cols)
-        })?;
-        let mut stats = OnlineStats::new();
-        for p in &partials {
-            stats.merge(p);
-        }
-        Ok(stats)
-    }
-
-    /// Serial scan kernel: fold the selected columns of `rows` into one
-    /// accumulator. Each caller (worker) brings its own scratch.
-    ///
-    /// The dense path fetches [`AGG_BLOCK_ROWS`] rows per
-    /// [`CompressedMatrix::rows_into`] call, so implementations with a
-    /// blocked multi-row kernel reconstruct several rows per sweep over
-    /// `V`. Values are still pushed row by row in ascending selected-column
-    /// order — the same accumulation sequence as the one-row-at-a-time
-    /// scan, so results are bitwise unchanged.
-    fn stats_over_rows(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        dense_cols: bool,
-    ) -> Result<OnlineStats> {
-        let mut stats = OnlineStats::new();
-        let m = self.matrix().cols();
-        if dense_cols && m > 0 {
-            let mut block = vec![0.0f64; AGG_BLOCK_ROWS * m];
-            for rchunk in rows.chunks(AGG_BLOCK_ROWS) {
-                let out = &mut block[..rchunk.len() * m];
-                self.matrix().rows_into(rchunk, out)?;
-                for row_buf in out.chunks(m) {
-                    for &j in cols {
-                        stats.push(row_buf[j]);
-                    }
-                }
-            }
-        } else {
-            for &i in rows {
-                for &j in cols {
-                    stats.push(self.matrix().cell(i, j)?);
-                }
-            }
-        }
-        Ok(stats)
     }
 
     /// Predicate-filtered aggregate: fold `f` over the selected cells
@@ -443,22 +261,7 @@ impl<'a> QueryEngine<'a> {
         f: AggregateFn,
         pred: &Predicate,
     ) -> Result<f64> {
-        let (n, m) = (self.matrix().rows(), self.matrix().cols());
-        sel.validate(n, m)?;
-        let rows: Vec<usize> = sel.rows.iter(n).collect();
-        let cols: Vec<usize> = sel.cols.to_vec(m);
-        if rows.is_empty() || cols.is_empty() {
-            return Err(AtsError::InvalidArgument(
-                "aggregate over an empty selection (0 cells) is undefined".into(),
-            ));
-        }
-        let count_only = matches!(f, AggregateFn::Count);
-        let tstarts = self.matrix().time_block_starts();
-        let ws = if tstarts.len() > 1 {
-            self.timeblocked_where(&rows, &cols, pred, count_only, &tstarts)?
-        } else {
-            self.where_dispatch(&rows, &cols, pred, count_only)?
-        };
+        let ws = self.scan(sel, Some(pred), matches!(f, AggregateFn::Count))?;
         match f {
             AggregateFn::Count => {
                 let total = ws
@@ -481,211 +284,289 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Time-block fan-out for `where` scans: the predicate-filtered
-    /// sibling of [`QueryEngine::timeblocked_stats`]. Each overlapping
-    /// block classifies against its *own* synopses (tile columns are
-    /// block-local), and per-block partials merge in block order.
-    fn timeblocked_where(
+    /// The one scan behind every aggregate front end: validate `sel`
+    /// once, reject an empty selection, plan it ([`QueryEngine::plan`])
+    /// and execute the plan ([`QueryEngine::execute`]). `pred` filters
+    /// the reconstructed values (`None` keeps every cell); `count_only`
+    /// lets all-`True` tiles be counted without reconstruction.
+    fn scan(
         &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
+        sel: &Selection,
+        pred: Option<&Predicate>,
         count_only: bool,
-        tstarts: &[usize],
     ) -> Result<WhereStats> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); tstarts.len()];
+        let (n, m) = (self.matrix().rows(), self.matrix().cols());
+        sel.validate(n, m)?;
+        let rows: Vec<usize> = sel.rows.iter(n).collect();
+        let cols: Vec<usize> = sel.cols.to_vec(m);
+        if rows.is_empty() || cols.is_empty() {
+            return Err(empty_selection());
+        }
+        let plan = self.plan(&rows, &cols, pred.is_some() && self.synopsis)?;
+        self.execute(&plan, pred, count_only)
+    }
+
+    /// The planner, and the only reader of the matrix's layout hooks.
+    ///
+    /// The selected columns are grouped by owning time block
+    /// ([`CompressedMatrix::time_block_starts`]; a single-decomposition
+    /// matrix is one block) and rebased to block-local indices. Blocks
+    /// the selection does not overlap get no plan entry, so their
+    /// `U`/delta pages see zero I/O. Inside each block the selected rows
+    /// are grouped by owning shard ([`CompressedMatrix::shard_starts`]),
+    /// each group carrying that shard's zone map when `prune` is set; an
+    /// unsharded block is split by [`thread_chunks`] instead. The shard
+    /// partition, not the thread count, fixes a sharded block's merge
+    /// tree.
+    fn plan(&self, rows: &[usize], cols: &[usize], prune: bool) -> Result<Vec<BlockPlan<'_>>> {
+        let matrix = self.matrix();
+        let tstarts = matrix.time_block_starts();
+        let blocked = tstarts.len() > 1;
+        let starts: &[usize] = if blocked { &tstarts } else { &[0] };
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
         for &j in cols {
-            let idx = match tstarts.binary_search(&j) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
-            };
-            let start = tstarts.get(idx).copied().unwrap_or(0);
-            if let Some(g) = groups.get_mut(idx) {
+            let b = owner(starts, j);
+            if let (Some(g), Some(&start)) = (groups.get_mut(b), starts.get(b)) {
                 g.push(j - start);
             }
         }
-        let mut ws = WhereStats::new();
-        for (b, local) in groups.iter().enumerate() {
+        let mut plan = Vec::new();
+        for (b, local) in groups.into_iter().enumerate() {
             if local.is_empty() {
                 continue;
             }
-            let block = self.matrix().time_block(b).ok_or_else(|| {
-                AtsError::internal(format!("time block {b} advertised but not served"))
-            })?;
-            let sub = QueryEngine {
-                handle: MatrixHandle::Borrowed(block),
-                threads: self.threads,
-                synopsis: self.synopsis,
+            let block = if blocked {
+                matrix.time_block(b).ok_or_else(|| {
+                    AtsError::internal(format!("time block {b} advertised but not served"))
+                })?
+            } else {
+                matrix
             };
-            ws.merge(&sub.where_dispatch(rows, local, pred, count_only)?);
-        }
-        Ok(ws)
-    }
-
-    /// Shard/thread dispatch for `where` scans over one decomposition,
-    /// mirroring [`QueryEngine::stats_dispatch`]: fan out by owning
-    /// shard when the matrix is sharded (each shard classifies against
-    /// its own synopsis), otherwise chunk the selected rows across
-    /// threads, and merge partials in shard/chunk order.
-    fn where_dispatch(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-    ) -> Result<WhereStats> {
-        let starts = self.matrix().shard_starts();
-        if starts.len() > 1 {
-            return self.sharded_where(rows, cols, pred, count_only, &starts);
-        }
-        let syn = self.pruning_synopsis(0, 0);
-        if self.threads <= 1 || rows.len() < 2 * self.threads {
-            return self.where_over_rows(rows, cols, pred, count_only, syn);
-        }
-        let chunk = rows.len().div_ceil(self.threads);
-        let parts = par::ordered(rows.chunks(chunk).collect(), self.threads, |rows| {
-            self.where_over_rows(rows, cols, pred, count_only, syn)
-        })?;
-        let mut ws = WhereStats::new();
-        for p in &parts {
-            ws.merge(p);
-        }
-        Ok(ws)
-    }
-
-    /// Shard fan-out for `where` scans: group the selected rows by
-    /// owning shard, scan each group against that shard's synopsis (up
-    /// to `self.threads` shards concurrently through [`par::ordered`]),
-    /// and merge the per-shard partials in ascending shard order.
-    fn sharded_where(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-        starts: &[usize],
-    ) -> Result<WhereStats> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); starts.len()];
-        for &i in rows {
-            let idx = match starts.binary_search(&i) {
-                Ok(p) => p,
-                Err(p) => p.saturating_sub(1),
+            let width = starts
+                .get(b + 1)
+                .copied()
+                .unwrap_or(matrix.cols())
+                .saturating_sub(starts.get(b).copied().unwrap_or(0));
+            let synopsis = |shard: usize, first_row: usize| {
+                let s = block.shard_synopsis(shard).filter(|_| prune);
+                s.map(|s| (s, first_row))
             };
-            groups[idx].push(i);
-        }
-        let partials = par::ordered(
-            groups.iter().enumerate().collect(),
-            self.threads,
-            |(s, g)| {
-                let syn = self.pruning_synopsis(s, starts.get(s).copied().unwrap_or(0));
-                self.where_over_rows(g, cols, pred, count_only, syn)
-            },
-        )?;
-        let mut ws = WhereStats::new();
-        for p in &partials {
-            ws.merge(p);
-        }
-        Ok(ws)
-    }
-
-    /// The synopsis to prune shard `shard` with (whose rows start at
-    /// absolute row `start`), or `None` when pruning is off or the
-    /// store carries none — the exact-scan fallback either way.
-    fn pruning_synopsis(&self, shard: usize, start: usize) -> Option<(&ShardSynopsis, usize)> {
-        if !self.synopsis {
-            return None;
-        }
-        self.matrix().shard_synopsis(shard).map(|s| (s, start))
-    }
-
-    /// Serial `where` kernel: scan the selected columns of `rows`,
-    /// pushing values that satisfy `pred` into one accumulator.
-    ///
-    /// With a synopsis, each row's tile band (`local row / ROW_BLOCK`)
-    /// is classified once and reused for the band's rows: selected
-    /// columns in `False` tiles are dropped before reconstruction — a
-    /// row left with nothing to fetch does **zero** I/O — and, when
-    /// `count_only`, columns in `True` tiles are tallied without
-    /// reconstruction. Fetched values are always tested through
-    /// [`Predicate::eval`] (for a `True` tile the bounds guarantee the
-    /// test passes), so the pushed value sequence is identical to the
-    /// no-synopsis scan and results stay bitwise equal.
-    ///
-    /// Defensive: rows outside the synopsis grid (a hand-rolled
-    /// [`CompressedMatrix`] lying about its geometry — disk stores
-    /// cross-check at open) classify `Maybe`, degrading to the exact
-    /// scan, never to a wrong answer.
-    fn where_over_rows(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        pred: &Predicate,
-        count_only: bool,
-        syn: Option<(&ShardSynopsis, usize)>,
-    ) -> Result<WhereStats> {
-        let mut ws = WhereStats::new();
-        let mut fetch: Vec<usize> = Vec::with_capacity(cols.len());
-        let mut vals = vec![0.0f64; cols.len()];
-        // The classification of the current row band, reused while
-        // consecutive rows stay in the same band.
-        let mut band: Option<(usize, Vec<TileTruth>)> = None;
-        for &i in rows {
-            fetch.clear();
-            let mut proved = 0u64;
-            match syn {
-                Some((s, start)) => {
-                    let tr = i.checked_sub(start).map(|lr| lr / s.row_block());
-                    let classes: Option<&[TileTruth]> = match tr {
-                        Some(tr) if tr < s.tile_rows() => {
-                            if band.as_ref().is_none_or(|&(b, _)| b != tr) {
-                                let row_classes = (0..s.tile_cols())
-                                    .map(|tc| {
-                                        s.tile(tr, tc).map_or(TileTruth::Maybe, |t| {
-                                            pred.classify(t.min, t.max)
-                                        })
-                                    })
-                                    .collect();
-                                band = Some((tr, row_classes));
-                            }
-                            band.as_ref().map(|(_, c)| c.as_slice())
-                        }
-                        _ => None,
-                    };
-                    for &j in cols {
-                        let truth = classes
-                            .and_then(|c| c.get(j / s.col_block()))
-                            .copied()
-                            .unwrap_or(TileTruth::Maybe);
-                        match truth {
-                            TileTruth::False => {}
-                            TileTruth::True if count_only => proved += 1,
-                            _ => fetch.push(j),
-                        }
+            let sstarts = block.shard_starts();
+            let units = if sstarts.len() > 1 {
+                let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); sstarts.len()];
+                for &i in rows {
+                    if let Some(g) = by_shard.get_mut(owner(&sstarts, i)) {
+                        g.push(i);
                     }
                 }
-                None => fetch.extend_from_slice(cols),
-            }
-            ws.proved += proved;
-            if fetch.is_empty() {
-                continue; // every selected tile proved: zero I/O for this row
-            }
-            let out = vals
-                .get_mut(..fetch.len())
-                .ok_or_else(|| AtsError::internal("where scan scratch undersized"))?;
-            self.matrix().cells_in_row(i, &fetch, out)?;
-            for &v in out.iter() {
-                if pred.eval(v) {
-                    ws.stats.push(v);
-                }
-            }
+                by_shard
+                    .into_iter()
+                    .zip(&sstarts)
+                    .enumerate()
+                    .filter(|(_, (g, _))| !g.is_empty())
+                    .map(|(s, (rows, &first))| ScanUnit {
+                        rows,
+                        synopsis: synopsis(s, first),
+                    })
+                    .collect()
+            } else {
+                thread_chunks(rows, self.threads)
+                    .map(|c| ScanUnit {
+                        rows: c.to_vec(),
+                        synopsis: synopsis(0, 0),
+                    })
+                    .collect()
+            };
+            plan.push(BlockPlan {
+                matrix: block,
+                // The dense-row rule, against the block's own width: a
+                // range covering most of one block reconstructs whole
+                // block rows even when it is a sliver of the full matrix.
+                dense: local.len() * 3 >= width,
+                cols: local,
+                units,
+            });
         }
-        Ok(ws)
+        Ok(plan)
+    }
+
+    /// The executor: run every unit of `plan` through [`par::ordered`],
+    /// then merge along a fixed tree — units in shard or chunk order
+    /// into a per-block partial, block partials in ascending block order.
+    /// [`OnlineStats::merge`] is not associative bit for bit, so this
+    /// tree, not a flat fold over all units, is what keeps answers
+    /// deterministic for a given layout and thread count.
+    fn execute(
+        &self,
+        plan: &[BlockPlan<'_>],
+        pred: Option<&Predicate>,
+        count_only: bool,
+    ) -> Result<WhereStats> {
+        let jobs: Vec<(&BlockPlan<'_>, &ScanUnit<'_>)> = plan
+            .iter()
+            .flat_map(|b| b.units.iter().map(move |u| (b, u)))
+            .collect();
+        let mut partials = par::ordered(jobs, self.threads, |(b, u)| {
+            scan_unit(b, u, pred, count_only)
+        })?
+        .into_iter();
+        let mut total = WhereStats::new();
+        for b in plan {
+            let mut block = WhereStats::new();
+            for p in partials.by_ref().take(b.units.len()) {
+                block.merge(&p);
+            }
+            total.merge(&block);
+        }
+        Ok(total)
     }
 }
 
-/// Accumulator of a `where` scan: the Welford fold over reconstructed
+/// One time block of a scan plan: the decomposition to read, the
+/// selected columns rebased to it, whether they are dense enough to
+/// reconstruct whole rows, and the units covering the selected rows, in
+/// merge order.
+struct BlockPlan<'m> {
+    matrix: &'m dyn CompressedMatrix,
+    cols: Vec<usize>,
+    dense: bool,
+    units: Vec<ScanUnit<'m>>,
+}
+
+/// One leaf job: the selected rows of one shard (or one thread chunk of
+/// an unsharded block), plus the zone map that may prune them and the
+/// absolute row its shard starts at.
+struct ScanUnit<'m> {
+    rows: Vec<usize>,
+    synopsis: Option<(&'m ShardSynopsis, usize)>,
+}
+
+/// Index of the range owning `x` in an ascending start table whose first
+/// entry is 0: the last start at or below `x`.
+fn owner(starts: &[usize], x: usize) -> usize {
+    starts.partition_point(|&s| s <= x).saturating_sub(1)
+}
+
+/// The split every threaded scan shares: one chunk when `threads <= 1`
+/// or `items.len() < 2·threads` (too little to fan out), otherwise
+/// contiguous `ceil(len/threads)`-item chunks. Callers merge in chunk
+/// order, so results depend on the thread count, never on scheduling.
+pub(crate) fn thread_chunks<T>(items: &[T], threads: usize) -> std::slice::Chunks<'_, T> {
+    let size = if threads <= 1 || items.len() < 2 * threads {
+        items.len()
+    } else {
+        items.len().div_ceil(threads)
+    };
+    items.chunks(size.max(1))
+}
+
+/// The leaf kernel: fold the block's selected columns of `unit`'s rows
+/// into one accumulator. Each caller (worker) brings its own scratch.
+///
+/// Without a predicate, a dense block fetches [`AGG_BLOCK_ROWS`] rows per
+/// [`CompressedMatrix::rows_into`] call, so implementations with a
+/// blocked multi-row kernel reconstruct several rows per sweep over `V`;
+/// a sparse one fetches only the selected cells, one
+/// [`CompressedMatrix::cells_in_row`] call (one `U`-row fetch) per row.
+/// Either way values are pushed row by row in ascending selected-column
+/// order, and the two entry points agree bit for bit.
+///
+/// With a predicate every row goes through `cells_in_row`. Given a
+/// synopsis, each row's tile band (`local row / ROW_BLOCK`) is classified
+/// once and reused for the band's rows: selected columns in `False` tiles
+/// are dropped before reconstruction — a row left with nothing to fetch
+/// does **zero** I/O — and, when `count_only`, columns in `True` tiles
+/// are tallied in `proved` without reconstruction. Fetched values are
+/// always tested through [`Predicate::eval`] (for a `True` tile the
+/// bounds guarantee the test passes), so the pushed value sequence is
+/// identical to the no-synopsis scan and results stay bitwise equal.
+///
+/// Defensive: rows outside the synopsis grid (a hand-rolled
+/// [`CompressedMatrix`] lying about its geometry — disk stores
+/// cross-check at open) classify `Maybe`, degrading to the exact scan,
+/// never to a wrong answer.
+fn scan_unit(
+    block: &BlockPlan<'_>,
+    unit: &ScanUnit<'_>,
+    pred: Option<&Predicate>,
+    count_only: bool,
+) -> Result<WhereStats> {
+    let (matrix, cols) = (block.matrix, block.cols.as_slice());
+    let mut ws = WhereStats::new();
+    if pred.is_none() && block.dense {
+        let m = matrix.cols();
+        let mut buf = vec![0.0f64; AGG_BLOCK_ROWS * m];
+        for rchunk in unit.rows.chunks(AGG_BLOCK_ROWS) {
+            let out = &mut buf[..rchunk.len() * m];
+            matrix.rows_into(rchunk, out)?;
+            for row in out.chunks(m) {
+                for &j in cols {
+                    ws.stats.push(row[j]);
+                }
+            }
+        }
+        return Ok(ws);
+    }
+    let mut fetch: Vec<usize> = Vec::with_capacity(cols.len());
+    let mut vals = vec![0.0f64; cols.len()];
+    // The classification of the current row band, reused while
+    // consecutive rows stay in the same band.
+    let mut band: Option<(usize, Vec<TileTruth>)> = None;
+    for &i in &unit.rows {
+        let wanted: &[usize] = match (pred, unit.synopsis) {
+            (Some(pred), Some((s, start))) => {
+                fetch.clear();
+                let tr = i.checked_sub(start).map(|lr| lr / s.row_block());
+                let classes: Option<&[TileTruth]> = match tr {
+                    Some(tr) if tr < s.tile_rows() => {
+                        if band.as_ref().is_none_or(|&(b, _)| b != tr) {
+                            let row_classes = (0..s.tile_cols())
+                                .map(|tc| {
+                                    s.tile(tr, tc)
+                                        .map_or(TileTruth::Maybe, |t| pred.classify(t.min, t.max))
+                                })
+                                .collect();
+                            band = Some((tr, row_classes));
+                        }
+                        band.as_ref().map(|(_, c)| c.as_slice())
+                    }
+                    _ => None,
+                };
+                for &j in cols {
+                    let truth = classes
+                        .and_then(|c| c.get(j / s.col_block()))
+                        .copied()
+                        .unwrap_or(TileTruth::Maybe);
+                    match truth {
+                        TileTruth::False => {}
+                        TileTruth::True if count_only => ws.proved += 1,
+                        _ => fetch.push(j),
+                    }
+                }
+                &fetch
+            }
+            _ => cols,
+        };
+        if wanted.is_empty() {
+            continue; // every selected tile proved: zero I/O for this row
+        }
+        let out = vals
+            .get_mut(..wanted.len())
+            .ok_or_else(|| AtsError::internal("scan scratch undersized"))?;
+        matrix.cells_in_row(i, wanted, out)?;
+        for &v in out.iter() {
+            if pred.is_none_or(|p| p.eval(v)) {
+                ws.stats.push(v);
+            }
+        }
+    }
+    Ok(ws)
+}
+
+/// Accumulator of every scan: the Welford fold over reconstructed
 /// matching cells, plus the cells *proved* matching by all-`True` tiles
-/// that a `count`-only scan never reconstructed.
+/// that a `count`-only `where` scan never reconstructed (always 0
+/// without a predicate).
 #[derive(Debug, Clone)]
 struct WhereStats {
     stats: OnlineStats,

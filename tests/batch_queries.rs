@@ -8,6 +8,7 @@
 use adhoc_ts::compress::{CompressedMatrix, SpaceBudget};
 use adhoc_ts::core::shard::ShardedStore;
 use adhoc_ts::core::store::{method_by_name, SequenceStore};
+use adhoc_ts::core::timeblock::TimeBlockedStore;
 use adhoc_ts::data::{generate_phone, PhoneConfig};
 use adhoc_ts::linalg::Matrix;
 use adhoc_ts::query::engine::{AggregateFn, QueryEngine};
@@ -17,30 +18,69 @@ use ats_common::{Result, TestDir};
 use proptest::prelude::*;
 
 /// A wrapper that forwards only the *required* trait methods (plus the
-/// shard layout, so the engine takes the same fan-out path), leaving every
-/// batch entry point on its default per-cell implementation. This is the
-/// scalar baseline the vectorized kernels must match bit for bit.
-struct ScalarOnly<'a>(&'a dyn CompressedMatrix);
+/// shard and time-block layout, so the engine takes the same fan-out
+/// path), leaving every batch entry point on its default per-cell
+/// implementation. Time blocks are wrapped too, so the scan inside each
+/// block is scalar as well. This is the scalar baseline the vectorized
+/// kernels must match bit for bit.
+struct ScalarOnly<'a> {
+    inner: &'a dyn CompressedMatrix,
+    blocks: Vec<ScalarOnly<'a>>,
+}
+
+impl<'a> ScalarOnly<'a> {
+    fn new(inner: &'a dyn CompressedMatrix) -> Self {
+        let starts = inner.time_block_starts();
+        let blocks = (0..starts.len())
+            .filter(|_| starts.len() > 1)
+            .map(|b| ScalarOnly::new(inner.time_block(b).unwrap()))
+            .collect();
+        ScalarOnly { inner, blocks }
+    }
+}
 
 impl CompressedMatrix for ScalarOnly<'_> {
     fn rows(&self) -> usize {
-        self.0.rows()
+        self.inner.rows()
     }
     fn cols(&self) -> usize {
-        self.0.cols()
+        self.inner.cols()
     }
     fn cell(&self, i: usize, j: usize) -> Result<f64> {
-        self.0.cell(i, j)
+        self.inner.cell(i, j)
     }
     fn storage_bytes(&self) -> usize {
-        self.0.storage_bytes()
+        self.inner.storage_bytes()
     }
     fn method_name(&self) -> &'static str {
-        self.0.method_name()
+        self.inner.method_name()
     }
     fn shard_starts(&self) -> Vec<usize> {
-        self.0.shard_starts()
+        self.inner.shard_starts()
     }
+    fn time_block_starts(&self) -> Vec<usize> {
+        match self.blocks.len() {
+            0 => Vec::new(),
+            _ => self.inner.time_block_starts(),
+        }
+    }
+    fn time_block(&self, b: usize) -> Option<&dyn CompressedMatrix> {
+        self.blocks.get(b).map(|s| s as &dyn CompressedMatrix)
+    }
+}
+
+/// Save a 4-time-block × 2-shard store of `x` under `dir` and reopen it
+/// paged, so the fetch-path tests also cross time-block routing.
+fn reopened_blocked(x: &Matrix, dir: &TestDir) -> TimeBlockedStore {
+    SequenceStore::builder()
+        .budget(SpaceBudget::from_percent(25.0))
+        .shards(2)
+        .time_blocks(4)
+        .build(x)
+        .unwrap()
+        .save(dir.file("blocked"))
+        .unwrap();
+    TimeBlockedStore::open(dir.file("blocked"), 128).unwrap()
 }
 
 fn phone(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -221,16 +261,18 @@ fn blocked_kernels_match_scalar_baseline_bitwise() {
         .unwrap();
     svdd.save(dir.file("store")).unwrap();
     let sharded = ShardedStore::open(dir.file("store"), 128).unwrap();
+    let blocked = reopened_blocked(&x, &dir);
 
-    let mats: [(&str, &dyn CompressedMatrix); 3] = [
+    let mats: [(&str, &dyn CompressedMatrix); 4] = [
         ("svd", svd.compressed()),
         ("svdd", svdd.compressed()),
         ("sharded", &sharded),
+        ("blocked", &blocked),
     ];
     let rows = [4usize, 69, 0, 4, 33, 17, 18, 19, 20, 21];
     let cols = [17usize, 0, 9, 9, 3];
     for (name, m) in mats {
-        let scalar = ScalarOnly(m);
+        let scalar = ScalarOnly::new(m);
         let width = m.cols();
 
         let mut a = vec![0.0; width];
@@ -270,6 +312,7 @@ fn blocked_aggregates_match_scalar_baseline_bitwise() {
         .unwrap();
     store.save(dir.file("store")).unwrap();
     let sharded = ShardedStore::open(dir.file("store"), 256).unwrap();
+    let blocked = reopened_blocked(&x, &dir);
 
     let selections = [
         Selection::all(),
@@ -282,10 +325,13 @@ fn blocked_aggregates_match_scalar_baseline_bitwise() {
             cols: Axis::set(vec![0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 16]),
         },
     ];
-    let mats: [(&str, &dyn CompressedMatrix); 2] =
-        [("in-memory", store.compressed()), ("sharded", &sharded)];
+    let mats: [(&str, &dyn CompressedMatrix); 3] = [
+        ("in-memory", store.compressed()),
+        ("sharded", &sharded),
+        ("blocked", &blocked),
+    ];
     for (name, m) in mats {
-        let scalar = ScalarOnly(m);
+        let scalar = ScalarOnly::new(m);
         for threads in [1usize, 3] {
             let fast = QueryEngine::new(m).with_threads(threads);
             let base = QueryEngine::new(&scalar).with_threads(threads);

@@ -166,6 +166,63 @@ fn appended_shards_emit_synopses_and_keep_pruning() {
     }
 }
 
+#[test]
+fn plain_aggregate_is_where_with_an_always_true_predicate() {
+    // One scan executor serves both front ends: a plain aggregate must
+    // answer bit for bit what a `where` aggregate answers when its
+    // predicate holds on every cell — dense and sparse selections, at
+    // shards {1, 2} × time blocks {1, 4} × threads {1, 2}, pruning on
+    // and off.
+    let x = wavy(48, 32, 5);
+    let selections = [
+        Selection::all(),
+        Selection::time_range(Axis::Range(3, 41), 9, 11),
+        Selection {
+            rows: Axis::set(vec![0, 7, 8, 30, 47]),
+            cols: Axis::Range(4, 29),
+        },
+    ];
+    for (shards, blocks) in [(1, 1), (1, 4), (2, 1), (2, 4)] {
+        let tmp = TestDir::new("ats-predpush-plain");
+        let dir = tmp.file("store");
+        SequenceStore::builder()
+            .budget(SpaceBudget::from_percent(20.0))
+            .shards(shards)
+            .time_blocks(blocks)
+            .build(&x)
+            .unwrap()
+            .save(&dir)
+            .unwrap();
+        let store = TimeBlockedStore::open(&dir, 128).unwrap();
+        let mut floor = f64::INFINITY;
+        for i in 0..store.rows() {
+            for j in 0..store.cols() {
+                floor = floor.min(store.cell(i, j).unwrap());
+            }
+        }
+        let pred = Predicate::new(CmpOp::Gt, floor - 1.0).unwrap();
+        for threads in [1, 2] {
+            for on in [true, false] {
+                let q = QueryEngine::new(&store)
+                    .with_threads(threads)
+                    .with_synopsis(on);
+                for sel in &selections {
+                    for f in AggregateFn::ALL {
+                        let plain = q.aggregate(sel, f).unwrap();
+                        let filtered = q.aggregate_where(sel, f, &pred).unwrap();
+                        assert_eq!(
+                            plain.to_bits(),
+                            filtered.to_bits(),
+                            "{f:?} shards={shards} blocks={blocks} threads={threads} \
+                             synopsis={on}: {plain} vs {filtered}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12 })]
 

@@ -57,6 +57,28 @@ fn range_aggregates_and_batches_prune_cold_blocks() {
             assert_eq!(snap.logical_reads, 0, "block {b} cold after aggregate");
         }
     }
+    let dense_reads = per_block[2].logical_reads;
+
+    // A 2-column range inside block 2 is sparse (2·3 < 9 columns), so it
+    // fetches only the selected cells — but still one U row per selected
+    // row, exactly what the dense whole-row scan above paid.
+    let store = TimeBlockedStore::open(&dir, 128).unwrap();
+    let engine = QueryEngine::new(&store);
+    let sparse = Selection::time_range(Axis::All, 21, 23);
+    assert!(engine
+        .aggregate(&sparse, AggregateFn::Sum)
+        .unwrap()
+        .is_finite());
+    let per_block = store.block_io_snapshots();
+    assert_eq!(
+        per_block[2].logical_reads, dense_reads,
+        "sparse range reads one U row per selected row"
+    );
+    for (b, snap) in per_block.iter().enumerate() {
+        if b != 2 {
+            assert_eq!(snap.logical_reads, 0, "block {b} cold after sparse range");
+        }
+    }
 
     // batch_cells through a fresh store: same confinement.
     let store = TimeBlockedStore::open(&dir, 128).unwrap();
